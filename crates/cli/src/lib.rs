@@ -62,7 +62,7 @@ use std::time::Duration;
 
 use tl_datagen::{Dataset, GenConfig};
 use tl_fault::failpoints;
-use tl_twig::parse_twig;
+use tl_twig::parse_twig_in;
 use tl_xml::{parse_document_observed, DocIndex, ParseOptions, ValueMode};
 use treelattice::{
     exit_code, Budget, BuildConfig, Catalog as _, CorpusConfig, EngineConfig, EstimateOptions,
@@ -901,16 +901,17 @@ fn parse_query_for(
 }
 
 /// [`parse_query_for`] against a bare label table — what catalog backends
-/// expose without materializing a lattice.
+/// expose without materializing a lattice. Structural queries read the
+/// table in place; value predicates intern their value labels into a
+/// copy.
 fn parse_query_in(
     labels: &tl_xml::LabelInterner,
     query: &str,
     values: ValueMode,
 ) -> Result<tl_twig::Twig, CliError> {
-    let mut labels = labels.clone();
     match values {
-        ValueMode::Ignore => parse_twig(query, &mut labels),
-        mode => tl_twig::parse_twig_valued(query, &mut labels, mode),
+        ValueMode::Ignore => parse_twig_in(query, labels),
+        mode => tl_twig::parse_twig_valued(query, &mut labels.clone(), mode),
     }
     .map_err(|e| CliError::usage(format!("query `{query}`: {e}")))
 }
@@ -1083,10 +1084,9 @@ fn cmd_truth(rest: &[String], out: &mut String, obs: &Obs) -> Result<(), CliErro
     args.finish()?;
 
     let doc = load_document_with(&input, values, obs.rec())?;
-    let mut labels = doc.labels().clone();
     let twig = match values {
-        ValueMode::Ignore => parse_twig(&query, &mut labels),
-        mode => tl_twig::parse_twig_valued(&query, &mut labels, mode),
+        ValueMode::Ignore => parse_twig_in(&query, doc.labels()),
+        mode => tl_twig::parse_twig_valued(&query, &mut doc.labels().clone(), mode),
     }
     .map_err(|e| CliError::usage(format!("query: {e}")))?;
     // Labels unknown to the document cannot match.
@@ -1231,15 +1231,13 @@ fn cmd_metrics(rest: &[String], out: &mut String) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::RwLock;
 
-    /// Fail-point plans are process-global: tests that activate chaos take
-    /// the write side, everything else the read side, so an active plan
-    /// can never leak into an unrelated concurrently-running test.
-    static CHAOS_LOCK: RwLock<()> = RwLock::new(());
+    // Fail-point plans are process-global: a test that activates chaos
+    // holds `failpoints::exclusive()` throughout, and a test that runs
+    // fail-point sites without a plan holds `failpoints::shared()`, so an
+    // active plan never leaks into an unrelated concurrent test.
 
     fn call(args: &[&str]) -> Result<String, CliError> {
-        let _shared = CHAOS_LOCK.read().unwrap_or_else(|e| e.into_inner());
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         let mut out = String::new();
         let mut err = String::new();
@@ -1247,10 +1245,8 @@ mod tests {
         Ok(out)
     }
 
-    /// Like [`call`] but exclusive (for `--chaos` invocations) and
-    /// returning the stderr notes alongside stdout.
+    /// Like [`call`] but returning the stderr notes alongside stdout.
     fn call_chaos(args: &[&str]) -> (Result<(), CliError>, String, String) {
-        let _exclusive = CHAOS_LOCK.write().unwrap_or_else(|e| e.into_inner());
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         let mut out = String::new();
         let mut err = String::new();
@@ -1282,6 +1278,7 @@ mod tests {
 
     #[test]
     fn full_pipeline_gen_build_estimate_truth() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("corpus.xml");
         let tlat = dir.join("corpus.tlat");
@@ -1332,6 +1329,7 @@ mod tests {
 
     #[test]
     fn truth_rejects_oversized_sibling_groups_as_usage_error() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("hostile.xml");
         std::fs::write(&xml, "<a><b/><b/></a>").unwrap();
@@ -1352,6 +1350,7 @@ mod tests {
 
     #[test]
     fn workload_runs_batch_with_and_without_engine_cache() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("w.xml");
         let tlat = dir.join("w.tlat");
@@ -1417,6 +1416,7 @@ mod tests {
 
     #[test]
     fn estimate_engine_cache_matches_plain_estimate() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("ec.xml");
         let tlat = dir.join("ec.tlat");
@@ -1444,6 +1444,7 @@ mod tests {
 
     #[test]
     fn workload_rejects_empty_query_file() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let tlat = dir.join("e.tlat");
         let xml = dir.join("e.xml");
@@ -1472,6 +1473,7 @@ mod tests {
 
     #[test]
     fn inspect_reports_levels() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("c.xml");
         let tlat = dir.join("c.tlat");
@@ -1494,6 +1496,7 @@ mod tests {
 
     #[test]
     fn prune_shrinks_summary() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("p.xml");
         let tlat = dir.join("p.tlat");
@@ -1531,6 +1534,7 @@ mod tests {
 
     #[test]
     fn explain_shows_trace() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("e.xml");
         let tlat = dir.join("e.tlat");
@@ -1565,6 +1569,7 @@ mod tests {
 
     #[test]
     fn truncated_summary_is_a_fault() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("t.xml");
         let tlat = dir.join("t.tlat");
@@ -1588,6 +1593,7 @@ mod tests {
 
     #[test]
     fn budgeted_estimate_degrades_and_exits_zero() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("bud.xml");
         let tlat = dir.join("bud.tlat");
@@ -1633,6 +1639,7 @@ mod tests {
 
     #[test]
     fn build_under_expired_deadline_stops_early_but_succeeds() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("dl.xml");
         let tlat = dir.join("dl.tlat");
@@ -1658,6 +1665,7 @@ mod tests {
 
     #[test]
     fn chaos_bad_spec_is_usage_error() {
+        let _fp = failpoints::exclusive();
         let (result, _, _) = call_chaos(&["help", "--chaos", "xml.parse=sometimes"]);
         let err = result.unwrap_err();
         assert_eq!(err.code, 2);
@@ -1666,6 +1674,7 @@ mod tests {
 
     #[test]
     fn chaos_injected_parse_fault_exits_3() {
+        let _fp = failpoints::exclusive();
         let dir = tempdir();
         let xml = dir.join("chaos.xml");
         std::fs::write(&xml, "<a><b/></a>").unwrap();
@@ -1688,27 +1697,21 @@ mod tests {
 
     #[test]
     fn chaos_worker_panic_in_workload_is_contained() {
+        let _fp = failpoints::exclusive();
         let dir = tempdir();
         let xml = dir.join("cw.xml");
         let tlat = dir.join("cw.tlat");
         let queries = dir.join("cw.txt");
         std::fs::write(&xml, "<r><a><b/><c/></a><a><b/><c/></a><a><b/></a></r>").unwrap();
-        {
-            let _shared = CHAOS_LOCK.read().unwrap_or_else(|e| e.into_inner());
-            let owned: Vec<String> = [
-                "build",
-                xml.to_str().unwrap(),
-                "-o",
-                tlat.to_str().unwrap(),
-                "--k",
-                "3",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            let (mut out, mut err) = (String::new(), String::new());
-            run(&owned, &mut out, &mut err).unwrap();
-        }
+        call(&[
+            "build",
+            xml.to_str().unwrap(),
+            "-o",
+            tlat.to_str().unwrap(),
+            "--k",
+            "3",
+        ])
+        .unwrap();
         std::fs::write(&queries, "a/b\na[b][c]\na/c\n").unwrap();
         let (result, out, note) = call_chaos(&[
             "workload",
@@ -1758,6 +1761,7 @@ mod tests {
 
     #[test]
     fn valued_pipeline_end_to_end() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("v.xml");
         let tlat = dir.join("v.tlat");
@@ -1833,6 +1837,7 @@ mod tests {
 
     #[test]
     fn estimate_oneshot_xml_emits_full_metrics_snapshot() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("one.xml");
         let metrics = dir.join("one.json");
@@ -1898,6 +1903,7 @@ mod tests {
 
     #[test]
     fn metrics_do_not_change_estimates() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("par.xml");
         let tlat = dir.join("par.tlat");
@@ -1927,6 +1933,7 @@ mod tests {
 
     #[test]
     fn workload_with_metrics_records_cache_traffic() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("wm.xml");
         let tlat = dir.join("wm.tlat");
@@ -1992,6 +1999,7 @@ mod tests {
 
     #[test]
     fn metrics_report_renders_snapshot_table() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("rep.xml");
         let metrics = dir.join("rep.json");
@@ -2039,6 +2047,7 @@ mod tests {
 
     #[test]
     fn mine_shards_a_corpus_directory_bit_identically() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let corpus = gen_corpus(&dir, 3);
         // A stray non-XML file must be ignored, not parsed.
@@ -2111,6 +2120,7 @@ mod tests {
 
     #[test]
     fn summary_merge_matches_mining_the_union() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let corpus = gen_corpus(&dir, 2);
         let files: Vec<std::path::PathBuf> = {
@@ -2184,6 +2194,7 @@ mod tests {
 
     #[test]
     fn summary_recover_and_snapshot_round_trip_a_wal_dir() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("r.xml");
         let tlat = dir.join("r.tlat");
@@ -2282,6 +2293,7 @@ mod tests {
 
     #[test]
     fn estimate_mmap_agrees_with_in_memory_catalog() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         let xml = dir.join("m.xml");
         let tlat = dir.join("m.tlat");
@@ -2333,6 +2345,7 @@ mod tests {
 
     #[test]
     fn estimate_mmap_guards_inputs_and_corruption() {
+        let _fp = failpoints::shared();
         let dir = tempdir();
         // `--mmap` needs a stored frame, not raw XML.
         let xml = dir.join("g.xml");

@@ -604,16 +604,16 @@ pub fn estimate_catalog<C: Catalog + ?Sized>(
     dag::estimate_dag(catalog, twig, estimator, opts, &mut cache).0
 }
 
-/// Parses a query against a catalog's label table and estimates it (new
-/// labels map to fresh ids, which estimate to zero) — the catalog-backend
-/// sibling of [`TreeLattice::estimate_query`].
+/// Parses a query against a catalog's label table, read in place, and
+/// estimates it (new labels map to fresh ids past the table, which
+/// estimate to zero) — the catalog-backend sibling of
+/// [`TreeLattice::estimate_query`].
 pub fn estimate_catalog_query<C: Catalog + ?Sized>(
     catalog: &C,
     query: &str,
     estimator: Estimator,
 ) -> Result<f64, TwigParseError> {
-    let mut scratch = catalog.labels().clone();
-    let twig = tl_twig::parse_twig(query, &mut scratch)?;
+    let twig = tl_twig::parse_twig_in(query, catalog.labels())?;
     Ok(estimate_catalog(
         catalog,
         &twig,
@@ -652,6 +652,7 @@ mod tests {
 
     #[test]
     fn mmap_lookups_match_in_memory_summary() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let path = write_lattice(&lat, "lookups.tlat");
         let mmap = MmapCatalog::open(&path).unwrap();
@@ -681,6 +682,7 @@ mod tests {
 
     #[test]
     fn mmap_preserves_pruned_semantics() {
+        let _fp = tl_fault::failpoints::shared();
         let mut lat = sample_lattice();
         lat.prune(0.0);
         let path = write_lattice(&lat, "pruned.tlat");
@@ -707,6 +709,7 @@ mod tests {
 
     #[test]
     fn estimates_agree_across_all_backends() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let path = write_lattice(&lat, "backends.tlat");
         let file = FileCatalog::open(&path).unwrap();
@@ -724,6 +727,7 @@ mod tests {
 
     #[test]
     fn unknown_labels_estimate_zero_via_catalog() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let path = write_lattice(&lat, "unknown.tlat");
         let mmap = MmapCatalog::open(&path).unwrap();
@@ -733,6 +737,7 @@ mod tests {
 
     #[test]
     fn corrupt_files_are_rejected_at_open() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let path = write_lattice(&lat, "corrupt.tlat");
         let good = std::fs::read(&path).unwrap();
@@ -777,6 +782,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_rejected_by_mmap_open() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let path = write_lattice(&lat, "flips.tlat");
         let good = std::fs::read(&path).unwrap();
@@ -793,6 +799,7 @@ mod tests {
 
     #[test]
     fn out_of_order_records_with_valid_checksum_rejected() {
+        let _fp = tl_fault::failpoints::shared();
         // Craft a file whose checksum is valid but whose level-1 records
         // are swapped out of canonical order; the strided validation pass
         // must refuse it (the binary search depends on the order).
@@ -828,6 +835,7 @@ mod tests {
 
     #[test]
     fn observed_open_records_counters() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let path = write_lattice(&lat, "observed.tlat");
         let rec = tl_obs::MetricsRecorder::new();
@@ -847,6 +855,7 @@ mod tests {
 
     #[test]
     fn generations_are_fresh_per_open() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let path = write_lattice(&lat, "gen.tlat");
         let a = MmapCatalog::open(&path).unwrap();

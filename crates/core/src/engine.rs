@@ -749,6 +749,7 @@ mod tests {
 
     #[test]
     fn engine_matches_per_query_estimates() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let engine = EstimationEngine::default();
         let queries = ["a[b[c][d]][e]", "a/b/c", "a[b][e]", "r/a/b/c"];
@@ -774,6 +775,7 @@ mod tests {
     /// and the two generations must not share cache entries.
     #[test]
     fn engine_batch_agrees_across_catalog_backends() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let dir = std::env::temp_dir().join(format!(
             "tl-engine-test-{}-{:?}",
@@ -804,6 +806,7 @@ mod tests {
 
     #[test]
     fn unknown_labels_estimate_zero_without_caching() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let engine = EstimationEngine::default();
         let twig = lat.parse_query("nosuchlabel/other").unwrap();
@@ -821,6 +824,7 @@ mod tests {
 
     #[test]
     fn voting_classes_do_not_collide() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let engine = EstimationEngine::default();
         let twig = lat.parse_query("a[b[c][d]][e]").unwrap();
@@ -840,6 +844,7 @@ mod tests {
 
     #[test]
     fn generation_bump_invalidates() {
+        let _fp = tl_fault::failpoints::shared();
         let mut lat = sample_lattice();
         let engine = EstimationEngine::default();
         let twig = lat.parse_query("a[b[c][d]][e]").unwrap();
@@ -859,6 +864,7 @@ mod tests {
 
     #[test]
     fn clear_empties_the_cache() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let engine = EstimationEngine::default();
         let twig = lat.parse_query("a[b[c][d]][e]").unwrap();
@@ -875,6 +881,7 @@ mod tests {
 
     #[test]
     fn recorder_sees_queries_cache_traffic_and_batch_span() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let rec = Arc::new(tl_obs::MetricsRecorder::new());
         let engine = EstimationEngine::with_recorder(
@@ -915,6 +922,7 @@ mod tests {
 
     #[test]
     fn warm_probes_clone_zero_key_bytes() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let engine = EstimationEngine::default();
         let twig = lat.parse_query("a[b[c][d]][e]").unwrap();
@@ -940,6 +948,7 @@ mod tests {
 
     #[test]
     fn dedup_ratio_exceeds_one_on_standard_workload() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let engine = EstimationEngine::default();
         let opts = EstimateOptions::default();
@@ -958,6 +967,7 @@ mod tests {
 
     #[test]
     fn interner_survives_clear_and_generation_bumps() {
+        let _fp = tl_fault::failpoints::shared();
         let mut lat = sample_lattice();
         let engine = EstimationEngine::default();
         let twig = lat.parse_query("a[b[c][d]][e]").unwrap();

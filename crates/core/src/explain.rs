@@ -97,6 +97,7 @@ mod tests {
 
     #[test]
     fn stored_queries_explain_as_exact() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = lattice();
         let q = lat.parse_query("a/b/c").unwrap();
         let text = explain(lat.summary(), lat.labels(), &q);
@@ -106,6 +107,7 @@ mod tests {
 
     #[test]
     fn large_queries_show_the_decomposition_tree() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = lattice();
         let q = lat.parse_query("a[b[c]][d]").unwrap();
         let text = explain(lat.summary(), lat.labels(), &q);
@@ -118,6 +120,7 @@ mod tests {
 
     #[test]
     fn zero_queries_explain_the_missing_edge() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = lattice();
         // `zzz` never occurred: explain through the query API, which keeps
         // the scratch interner that can resolve it.
@@ -130,6 +133,7 @@ mod tests {
 
     #[test]
     fn header_reports_interval() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = lattice();
         let q = lat.parse_query("r/a[b[c]][d]").unwrap();
         let text = explain(lat.summary(), lat.labels(), &q);

@@ -156,6 +156,7 @@ mod tests {
 
     #[test]
     fn stored_patterns_are_points() {
+        let _fp = tl_fault::failpoints::shared();
         let (_, lat) = lattice_of("<a><b/><c/></a>", 3);
         let q = lat.parse_query("a[b][c]").unwrap();
         let iv = estimate_interval(lat.summary(), &q);
@@ -165,6 +166,7 @@ mod tests {
 
     #[test]
     fn midpoint_equals_voting_estimate() {
+        let _fp = tl_fault::failpoints::shared();
         let mut xml = String::from("<r>");
         for i in 0..12 {
             // Irregular records: disagreement between decomposition orders.
@@ -201,6 +203,7 @@ mod tests {
 
     #[test]
     fn regular_data_has_zero_width() {
+        let _fp = tl_fault::failpoints::shared();
         let mut xml = String::from("<r>");
         for _ in 0..10 {
             xml.push_str("<a><b><c/></b><d/></a>");
@@ -218,6 +221,7 @@ mod tests {
 
     #[test]
     fn correlated_data_produces_positive_width() {
+        let _fp = tl_fault::failpoints::shared();
         // Records where b/c co-occurrence is correlated but d is not:
         // different decomposition orders of a[b][c][d] route through
         // different stored size-3 patterns and disagree.
@@ -249,6 +253,7 @@ mod tests {
 
     #[test]
     fn zero_queries_are_zero_points() {
+        let _fp = tl_fault::failpoints::shared();
         let (_, lat) = lattice_of("<a><b/></a>", 2);
         let q = lat.parse_query("a[b][z]").unwrap();
         let iv = estimate_interval(lat.summary(), &q);

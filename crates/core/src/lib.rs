@@ -64,7 +64,7 @@ pub mod wal;
 
 use tl_miner::{mine_with_index_budgeted, MineConfig};
 use tl_twig::canonical::KeyEncoder;
-use tl_twig::{parse_twig, Twig, TwigKey, TwigParseError};
+use tl_twig::{parse_twig, parse_twig_in, Twig, TwigKey, TwigParseError};
 use tl_xml::{DocIndex, Document, FxHashMap, LabelId, LabelInterner};
 
 pub use catalog::{
@@ -396,16 +396,14 @@ impl TreeLattice {
     /// Labels that never occurred in the document yield an estimate of `0.0`
     /// (they cannot match), not a parse error.
     pub fn estimate_query(&self, query: &str, estimator: Estimator) -> Result<f64, TwigParseError> {
-        let mut scratch = self.labels.clone();
-        let twig = parse_twig(query, &mut scratch)?;
-        Ok(self.estimate(&twig, estimator))
+        Ok(self.estimate(&self.parse_query(query)?, estimator))
     }
 
-    /// Parses a query against this lattice's label table (new labels are
-    /// allowed and mapped to fresh ids, which estimate to zero).
+    /// Parses a query against this lattice's label table, read in place
+    /// (new labels are allowed and mapped to fresh ids past the table,
+    /// which estimate to zero; see [`tl_twig::parse_twig_in`]).
     pub fn parse_query(&self, query: &str) -> Result<Twig, TwigParseError> {
-        let mut scratch = self.labels.clone();
-        parse_twig(query, &mut scratch)
+        parse_twig_in(query, &self.labels)
     }
 
     /// Renders a decomposition trace for a query (EXPLAIN); see
@@ -513,6 +511,7 @@ mod tests {
 
     #[test]
     fn small_queries_are_exact() {
+        let _fp = tl_fault::failpoints::shared();
         let d = doc("<computer><laptops>\
                <laptop><brand/><price/></laptop>\
                <laptop><brand/><price/></laptop>\
@@ -530,6 +529,7 @@ mod tests {
 
     #[test]
     fn unknown_labels_estimate_zero() {
+        let _fp = tl_fault::failpoints::shared();
         let d = doc("<a><b/></a>");
         let lat = TreeLattice::build(&d, &BuildConfig::with_k(2));
         for e in Estimator::ALL {
@@ -540,6 +540,7 @@ mod tests {
 
     #[test]
     fn big_query_estimates_are_positive_for_occurring_twigs() {
+        let _fp = tl_fault::failpoints::shared();
         // A regular document where conditional independence holds exactly.
         let mut s = String::from("<r>");
         for _ in 0..10 {
@@ -560,6 +561,7 @@ mod tests {
 
     #[test]
     fn figure11_small_twig_is_exact_from_lattice() {
+        let _fp = tl_fault::failpoints::shared();
         let d = tl_datagen::figure11_document();
         let lat = TreeLattice::build(&d, &BuildConfig::with_k(3));
         let est = lat.estimate_query("b[c][d]", Estimator::Recursive).unwrap();
@@ -568,6 +570,7 @@ mod tests {
 
     #[test]
     fn build_with_pruning_keeps_estimates() {
+        let _fp = tl_fault::failpoints::shared();
         let mut s = String::from("<r>");
         for _ in 0..7 {
             s.push_str("<a><b><c/></b><d/></a>");
@@ -594,6 +597,7 @@ mod tests {
 
     #[test]
     fn observed_build_and_estimate_match_plain_and_record() {
+        let _fp = tl_fault::failpoints::shared();
         let mut s = String::from("<r>");
         for _ in 0..10 {
             s.push_str("<a><b><c/><d/></b><e/></a>");
@@ -624,6 +628,7 @@ mod tests {
 
     #[test]
     fn corpus_build_matches_merged_single_builds() {
+        let _fp = tl_fault::failpoints::shared();
         let docs = vec![
             doc("<a><b><c/></b><b/></a>"),
             doc("<x><a><b/></a><a/></x>"),
@@ -645,6 +650,7 @@ mod tests {
 
     #[test]
     fn merge_translates_label_universes() {
+        let _fp = tl_fault::failpoints::shared();
         // `other` interns b before a, so its ids differ from `base`'s.
         let mut base = TreeLattice::build(&doc("<a><b/></a>"), &BuildConfig::with_k(2));
         let other = TreeLattice::build(&doc("<b><a/><c/></b>"), &BuildConfig::with_k(2));
@@ -666,6 +672,7 @@ mod tests {
 
     #[test]
     fn estimate_options_voting_cap() {
+        let _fp = tl_fault::failpoints::shared();
         let d = doc("<r><a><b/><c/><d/></a><a><b/></a></r>");
         let lat = TreeLattice::build(&d, &BuildConfig::with_k(2));
         let mut q = lat.parse_query("a[b][c][d]").unwrap();

@@ -264,6 +264,7 @@ mod tests {
 
     #[test]
     fn observation_makes_repeat_queries_exact() {
+        let _fp = tl_fault::failpoints::shared();
         let (doc, lattice) = setup();
         let mut tuned = TunedLattice::new(lattice, 4096);
         let q = tuned.lattice().parse_query("a[b][c]").unwrap();
@@ -278,6 +279,7 @@ mod tests {
 
     #[test]
     fn observed_patterns_improve_super_queries() {
+        let _fp = tl_fault::failpoints::shared();
         let (doc, lattice) = setup();
         let mut tuned = TunedLattice::new(lattice, 4096);
         let sub = tuned.lattice().parse_query("a[b][c]").unwrap();
@@ -294,6 +296,7 @@ mod tests {
 
     #[test]
     fn negative_feedback_stores_zero() {
+        let _fp = tl_fault::failpoints::shared();
         let (_, lattice) = setup();
         let mut tuned = TunedLattice::new(lattice, 4096);
         // A size-3 pattern absent from the document, on a level beyond the
@@ -305,6 +308,7 @@ mod tests {
 
     #[test]
     fn budget_evicts_cold_patterns() {
+        let _fp = tl_fault::failpoints::shared();
         let (doc, lattice) = setup();
         // Budget fits roughly two size-3 patterns (26 bytes each).
         let mut tuned = TunedLattice::new(lattice, 60);
@@ -332,6 +336,7 @@ mod tests {
 
     #[test]
     fn observing_an_already_exact_pattern_is_a_noop() {
+        let _fp = tl_fault::failpoints::shared();
         let (doc, lattice) = setup();
         let mut tuned = TunedLattice::new(lattice, 4096);
         let q = tuned.lattice().parse_query("a/b").unwrap();
@@ -343,6 +348,7 @@ mod tests {
 
     #[test]
     fn feedback_invalidates_engine_cache() {
+        let _fp = tl_fault::failpoints::shared();
         let (doc, lattice) = setup();
         let engine = crate::engine::EstimationEngine::default();
         let opts = EstimateOptions::default();
@@ -361,6 +367,7 @@ mod tests {
 
     #[test]
     fn estimate_and_learn_returns_pre_feedback_value() {
+        let _fp = tl_fault::failpoints::shared();
         let (doc, lattice) = setup();
         let mut tuned = TunedLattice::new(lattice, 4096);
         let q = tuned.lattice().parse_query("a[b][c]").unwrap();
@@ -373,6 +380,7 @@ mod tests {
 
     #[test]
     fn derivation_error_identifies_derivable_patterns() {
+        let _fp = tl_fault::failpoints::shared();
         // Perfectly independent data: the joint pattern is fully derivable.
         let mut s = String::from("<r>");
         for _ in 0..6 {

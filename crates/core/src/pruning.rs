@@ -153,6 +153,7 @@ mod tests {
 
     #[test]
     fn lemma5_estimates_unchanged_after_zero_pruning() {
+        let _fp = tl_fault::failpoints::shared();
         // Build a real lattice from a document, prune at delta 0, and check
         // every original pattern still estimates to its exact count.
         let doc = tl_xml::parse_document(

@@ -210,6 +210,7 @@ mod tests {
 
     #[test]
     fn reference_matches_production_engine_bitwise() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let reference = ReferenceEngine::new();
         let engine = EstimationEngine::default();
@@ -228,6 +229,7 @@ mod tests {
 
     #[test]
     fn reference_tracks_generation_bumps() {
+        let _fp = tl_fault::failpoints::shared();
         let mut lat = sample_lattice();
         let reference = ReferenceEngine::new();
         let opts = EstimateOptions::default();
@@ -244,6 +246,7 @@ mod tests {
 
     #[test]
     fn reference_guards_unknown_labels() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let reference = ReferenceEngine::new();
         let twig = lat.parse_query("nosuchlabel/other").unwrap();

@@ -175,6 +175,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_matches_plain_estimate() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice(3);
         for q in ["a[b[c][d]][e]", "a/b/c", "r/a/b"] {
             let twig = lat.parse_query(q).unwrap();
@@ -190,6 +191,7 @@ mod tests {
 
     #[test]
     fn max_k_cap_forces_reduced_k() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice(4);
         let twig = lat.parse_query("a[b[c][d]][e]").unwrap();
         let opts = EstimateOptions {
@@ -203,6 +205,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_lands_on_markov() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice(3);
         // A query big enough to force decomposition (so the deadline is
         // actually consulted).
@@ -222,6 +225,7 @@ mod tests {
 
     #[test]
     fn markov_fallback_matches_closed_form_on_paths() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice(3);
         let twig = lat.parse_query("a/b/c").unwrap();
         // On a path, the recursive estimator over a k>=2 summary reduces to
@@ -236,6 +240,7 @@ mod tests {
 
     #[test]
     fn markov_zero_on_absent_labels_and_edges() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice(3);
         let absent = lat.parse_query("a/nosuch").unwrap();
         assert_eq!(markov_estimate(lat.summary(), &absent), 0.0);
@@ -246,6 +251,7 @@ mod tests {
 
     #[test]
     fn tiny_mem_budget_degrades_instead_of_erroring() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice(3);
         let twig = lat.parse_query("a[b[c][d]][e]").unwrap();
         let opts = EstimateOptions {

@@ -277,6 +277,7 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_everything() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let bytes = to_bytes(&lat);
         let back = from_bytes(&bytes).unwrap();
@@ -292,6 +293,7 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_pruned_flags() {
+        let _fp = tl_fault::failpoints::shared();
         let mut lat = sample_lattice();
         lat.prune(0.0);
         let back = from_bytes(&to_bytes(&lat)).unwrap();
@@ -311,6 +313,7 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
+        let _fp = tl_fault::failpoints::shared();
         let mut bytes = to_bytes(&sample_lattice());
         bytes[4] = 99;
         assert_eq!(from_bytes(&bytes).unwrap_err(), ReadError::BadVersion(99));
@@ -318,6 +321,7 @@ mod tests {
 
     #[test]
     fn version_1_files_are_rejected_not_misparsed() {
+        let _fp = tl_fault::failpoints::shared();
         let mut bytes = to_bytes(&sample_lattice());
         bytes[4] = 1;
         assert_eq!(from_bytes(&bytes).unwrap_err(), ReadError::BadVersion(1));
@@ -325,6 +329,7 @@ mod tests {
 
     #[test]
     fn truncation_rejected_at_every_prefix() {
+        let _fp = tl_fault::failpoints::shared();
         let bytes = to_bytes(&sample_lattice());
         for cut in 0..bytes.len() {
             let res = from_bytes(&bytes[..cut]);
@@ -335,6 +340,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_rejected() {
+        let _fp = tl_fault::failpoints::shared();
         // The frame guarantees *any* one-byte corruption fails typed:
         // magic/version flips hit their checks, header flips break the
         // crc or length match, payload flips break the checksum.
@@ -353,6 +359,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
+        let _fp = tl_fault::failpoints::shared();
         let mut bytes = to_bytes(&sample_lattice());
         bytes.push(0);
         assert_eq!(
@@ -363,6 +370,7 @@ mod tests {
 
     #[test]
     fn payload_flip_reports_checksum_mismatch() {
+        let _fp = tl_fault::failpoints::shared();
         let mut bytes = to_bytes(&sample_lattice());
         let last = bytes.len() - 1;
         bytes[last] ^= 0x10;
@@ -374,6 +382,7 @@ mod tests {
 
     #[test]
     fn corrupt_key_with_valid_checksum_still_rejected() {
+        let _fp = tl_fault::failpoints::shared();
         // Defense in depth: a crafted file can carry a *valid* checksum
         // over structurally broken content; key validation must catch it.
         let lat = sample_lattice();
@@ -414,8 +423,9 @@ mod tests {
 
     #[test]
     fn injected_corruption_is_caught_by_the_checksum() {
+        let fp = tl_fault::failpoints::exclusive();
         let bytes = to_bytes(&sample_lattice());
-        tl_fault::failpoints::with_active("summary.corrupt=always", 0, || {
+        fp.with_active("summary.corrupt=always", 0, || {
             assert_eq!(
                 from_bytes(&bytes).unwrap_err(),
                 ReadError::Corrupt("checksum mismatch")
@@ -427,6 +437,7 @@ mod tests {
 
     #[test]
     fn estimates_survive_round_trip() {
+        let _fp = tl_fault::failpoints::shared();
         let lat = sample_lattice();
         let back = from_bytes(&to_bytes(&lat)).unwrap();
         let est1 = lat.estimate_query("a[b][c]", crate::Estimator::RecursiveVoting);

@@ -275,6 +275,7 @@ mod tests {
 
     #[test]
     fn complete_level_miss_is_exact_zero() {
+        let _fp = tl_fault::failpoints::shared();
         let (mined, it) = {
             let mut it = LabelInterner::new();
             let doc = {

@@ -36,7 +36,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use tl_fault::failpoints::{fire, sites};
-use tl_fault::{Fault, FaultKind};
+use tl_fault::{fnv1a, Fault, FaultKind};
 use tl_obs::{names, Recorder};
 use tl_twig::canonical::key_of;
 use tl_twig::{Twig, TwigKey};
@@ -45,17 +45,6 @@ use tl_xml::FxHashMap;
 use crate::online::TunedLattice;
 use crate::serialize::crc32;
 use crate::TreeLattice;
-
-/// FNV-1a over `bytes` — the checksum of the tl-wire/1 frame idiom,
-/// shared by WAL records and the server's wire protocol.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// When an accepted update may be acknowledged relative to stable
 /// storage.
@@ -1095,6 +1084,7 @@ mod tests {
 
     #[test]
     fn append_replay_round_trips() {
+        let _fp = tl_fault::failpoints::shared();
         let dir = test_dir("roundtrip");
         let base = base_lattice();
         let (mut durable, report) =
@@ -1118,6 +1108,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_a_clean_end_of_log() {
+        let _fp = tl_fault::failpoints::shared();
         let dir = test_dir("torn");
         let base = base_lattice();
         let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();
@@ -1145,6 +1136,7 @@ mod tests {
 
     #[test]
     fn mid_log_corruption_is_a_typed_fault() {
+        let _fp = tl_fault::failpoints::shared();
         let dir = test_dir("midlog");
         let base = base_lattice();
         let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();
@@ -1163,6 +1155,7 @@ mod tests {
 
     #[test]
     fn snapshot_truncates_wal_and_recovery_prefers_it() {
+        let _fp = tl_fault::failpoints::shared();
         let dir = test_dir("snap");
         let base = base_lattice();
         let mut o = opts();
@@ -1183,6 +1176,7 @@ mod tests {
 
     #[test]
     fn corrupt_newest_snapshot_falls_back_to_predecessor() {
+        let _fp = tl_fault::failpoints::shared();
         let dir = test_dir("fallback");
         let base = base_lattice();
         let mut o = opts();
@@ -1218,6 +1212,7 @@ mod tests {
 
     #[test]
     fn idempotent_retry_does_not_double_apply() {
+        let _fp = tl_fault::failpoints::shared();
         let dir = test_dir("idem");
         let base = base_lattice();
         let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();
@@ -1240,6 +1235,7 @@ mod tests {
 
     #[test]
     fn every_injected_crash_point_recovers_bit_identically() {
+        let fp = failpoints::exclusive();
         let base = base_lattice();
         let mut o = opts();
         o.snapshot_every = 4;
@@ -1254,7 +1250,7 @@ mod tests {
             let dir = test_dir(&format!("crash-{}", site.replace('.', "-")));
             let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &o, &NOOP).unwrap();
             let mut acked = 0u64;
-            failpoints::with_active(&format!("{site}=nth:1"), 7, || {
+            fp.with_active(&format!("{site}=nth:1"), 7, || {
                 for (twig, count) in storm(&base, 9) {
                     match durable.apply(&twig, count, 0, &NOOP) {
                         Ok(a) => {
@@ -1293,6 +1289,7 @@ mod tests {
 
     #[test]
     fn drain_writes_a_final_snapshot() {
+        let _fp = tl_fault::failpoints::shared();
         let dir = test_dir("drain");
         let base = base_lattice();
         let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();
@@ -1322,6 +1319,7 @@ mod tests {
 
     #[test]
     fn seq_gap_is_a_typed_fault() {
+        let _fp = tl_fault::failpoints::shared();
         let dir = test_dir("gap");
         let base = base_lattice();
         let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();

@@ -80,7 +80,7 @@ pub mod sites {
 #[cfg(feature = "failpoints")]
 mod imp {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+    use std::sync::{Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
     /// Fast-path gate: `fire` bails on one relaxed load unless a plan is
     /// active, so disabled fail-points cost nothing measurable.
@@ -92,12 +92,11 @@ mod imp {
         PLAN.get_or_init(|| Mutex::new(None))
     }
 
-    /// Serializes tests that activate global plans; held by `with_active`
-    /// so concurrent test threads cannot see each other's injections.
-    fn test_mutex() -> &'static Mutex<()> {
-        static M: OnceLock<Mutex<()>> = OnceLock::new();
-        M.get_or_init(|| Mutex::new(()))
-    }
+    /// Orders tests around global plans: a test that activates a plan
+    /// holds the write side (`with_active` takes it), a test that runs
+    /// fail-point sites without a plan holds the read side, so no plan
+    /// fires in a test that did not ask for it.
+    static GATE: RwLock<()> = RwLock::new(());
 
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum Rule {
@@ -180,16 +179,6 @@ mod imp {
         x ^ (x >> 31)
     }
 
-    fn site_hash(name: &str) -> u64 {
-        // FNV-1a: stable across runs and platforms.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in name.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
-    }
-
     /// Installs a fail-point plan. Replaces any active plan. Errors on a
     /// malformed spec (the caller maps this to a usage error).
     pub fn activate(spec: &str, seed: u64) -> Result<(), String> {
@@ -262,7 +251,7 @@ mod imp {
             Rule::Never => false,
             Rule::Nth(n) => entry.hits == n,
             Rule::OneIn(n) => {
-                let coin = splitmix64(seed ^ site_hash(site) ^ entry.hits);
+                let coin = splitmix64(seed ^ crate::fnv1a(site.as_bytes()) ^ entry.hits);
                 coin.is_multiple_of(n)
             }
         };
@@ -272,27 +261,51 @@ mod imp {
         fired
     }
 
-    /// An exclusive hold on the global fail-point state, for code (like
-    /// the CLI test harness) that needs to serialize chaos activity
-    /// around a multi-step critical section.
-    pub fn exclusive() -> MutexGuard<'static, ()> {
-        test_mutex().lock().unwrap_or_else(PoisonError::into_inner)
+    /// An exclusive hold on the global fail-point state, for code that
+    /// activates plans or needs to serialize chaos activity around a
+    /// multi-step critical section. Waits out every other holder.
+    pub fn exclusive() -> Exclusive {
+        Exclusive {
+            _hold: GATE.write().unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+
+    /// The guard [`exclusive`] returns.
+    pub struct Exclusive {
+        _hold: RwLockWriteGuard<'static, ()>,
+    }
+
+    impl Exclusive {
+        /// [`with_active`] under this hold: a test that runs plan-free
+        /// steps between its plans keeps one hold throughout, so no
+        /// other test's plan can fire in those steps.
+        pub fn with_active<T>(&self, spec: &str, seed: u64, f: impl FnOnce() -> T) -> T {
+            activate(spec, seed).expect("invalid fail-point spec in test");
+            struct Deactivate;
+            impl Drop for Deactivate {
+                fn drop(&mut self) {
+                    deactivate();
+                }
+            }
+            let _d = Deactivate;
+            f()
+        }
+    }
+
+    /// A shared hold: no plan is activated through [`exclusive`] or
+    /// [`with_active`] while it lives. Tests that run fail-point sites
+    /// without a plan of their own take it; any number of them run
+    /// side by side.
+    pub fn shared() -> RwLockReadGuard<'static, ()> {
+        GATE.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Runs `f` with `spec` active under `seed`, deactivating afterwards
     /// even if `f` panics. Serialized process-wide so concurrent tests
-    /// never observe each other's plans.
+    /// never observe each other's plans. It takes [`exclusive`] itself,
+    /// so a caller already holding it uses [`Exclusive::with_active`].
     pub fn with_active<T>(spec: &str, seed: u64, f: impl FnOnce() -> T) -> T {
-        let _guard = exclusive();
-        activate(spec, seed).expect("invalid fail-point spec in test");
-        struct Deactivate;
-        impl Drop for Deactivate {
-            fn drop(&mut self) {
-                deactivate();
-            }
-        }
-        let _d = Deactivate;
-        f()
+        exclusive().with_active(spec, seed, f)
     }
 }
 
@@ -334,7 +347,7 @@ pub use imp::{
 };
 
 #[cfg(feature = "failpoints")]
-pub use imp::exclusive;
+pub use imp::{exclusive, shared, Exclusive};
 
 #[cfg(all(test, feature = "failpoints"))]
 mod tests {

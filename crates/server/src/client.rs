@@ -11,7 +11,9 @@
 //! requests that are safe to retry. Reads (`estimate`, `truth`,
 //! `scrape`) are naturally idempotent; `update` is retried only because
 //! the client stamps it with an idempotency key, so a retried ack can
-//! never double-apply on the server.
+//! never double-apply on the server. A request that fails in any way
+//! other than a server answer drops its connection, so a late reply is
+//! never read as the answer to the next request.
 
 use std::fmt;
 use std::io;
@@ -21,7 +23,9 @@ use std::time::{Duration, Instant};
 use tl_fault::Fault;
 use treelattice::Estimator;
 
-use crate::protocol::{read_frame, write_frame, FrameError, Request, Response, WireEstimate};
+use crate::protocol::{
+    is_timeout, read_frame, write_frame, FrameError, Request, Response, WireEstimate,
+};
 
 /// Client-side failure: transport trouble or a typed protocol fault.
 #[derive(Debug)]
@@ -194,8 +198,24 @@ impl Client {
     }
 
     /// One request/response exchange on the current connection under the
-    /// remaining deadline.
+    /// remaining deadline. Any failure drops the connection: after a
+    /// deadline, an I/O error or a corrupt frame the client no longer
+    /// knows where it is in the response stream, and a late reply must
+    /// never be read as the answer to the next request. A decoded
+    /// [`Response::Error`] is an answer, and keeps the connection.
     fn exchange(&mut self, request: &Request, deadline: Instant) -> Result<Response, ClientError> {
+        let result = self.round_trip(request, deadline);
+        if result.is_err() {
+            self.stream = None;
+        }
+        result
+    }
+
+    fn round_trip(
+        &mut self,
+        request: &Request,
+        deadline: Instant,
+    ) -> Result<Response, ClientError> {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(ClientError::Deadline);
@@ -210,17 +230,13 @@ impl Client {
         stream.set_read_timeout(Some(remaining))?;
         stream.set_write_timeout(Some(remaining))?;
         write_frame(stream, &request.encode())?;
-        let body = match read_frame(stream) {
-            Ok(body) => body,
-            Err(FrameError::Eof) => return Err(ClientError::Closed),
-            Err(FrameError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Err(ClientError::Deadline)
-            }
-            Err(FrameError::Io(e)) => return Err(ClientError::Io(e)),
-            Err(FrameError::Corrupt(f)) => return Err(ClientError::Protocol(f)),
-        };
+        let body = read_frame(stream).map_err(|e| match e {
+            FrameError::Eof => ClientError::Closed,
+            FrameError::Idle => ClientError::Deadline,
+            FrameError::Io(e) if is_timeout(&e) => ClientError::Deadline,
+            FrameError::Io(e) => ClientError::Io(e),
+            FrameError::Corrupt(f) => ClientError::Protocol(f),
+        })?;
         Response::decode(&body).map_err(ClientError::Protocol)
     }
 
@@ -229,17 +245,13 @@ impl Client {
     /// request is idempotent go through the typed methods instead.
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
         let deadline = Instant::now() + self.config.request_timeout;
-        let result = self.exchange(request, deadline);
-        if matches!(result, Err(ClientError::Io(_) | ClientError::Closed)) {
-            self.stream = None;
-        }
-        result
+        self.exchange(request, deadline)
     }
 
-    /// Sends a retriable request: transport failures drop the connection
-    /// and retry on a fresh one with backoff, until the deadline or the
-    /// retry budget runs out. Protocol faults are never retried — the
-    /// server answered; the answer is the answer.
+    /// Sends a retriable request: transport failures retry on a fresh
+    /// connection with backoff, until the deadline or the retry budget
+    /// runs out. Protocol faults are never retried — the server
+    /// answered; the answer is the answer.
     fn request_retriable(&mut self, request: &Request) -> Result<Response, ClientError> {
         let deadline = Instant::now() + self.config.request_timeout;
         let mut attempt = 0u32;
@@ -247,7 +259,6 @@ impl Client {
             match self.exchange(request, deadline) {
                 Ok(resp) => return Ok(resp),
                 Err(e @ (ClientError::Io(_) | ClientError::Closed)) => {
-                    self.stream = None;
                     if attempt >= self.config.max_retries || Instant::now() >= deadline {
                         return Err(e);
                     }

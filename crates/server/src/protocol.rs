@@ -23,23 +23,12 @@
 
 use std::io::{self, Read, Write};
 
-use tl_fault::{exit_code, Degradation, Fault, FaultKind, Outcome};
+use tl_fault::{exit_code, fnv1a, Degradation, Fault, FaultKind, Outcome};
 use treelattice::Estimator;
 
 /// Upper bound on a frame body; decoders reject bigger length prefixes
 /// before allocating.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
-
-/// FNV-1a 64-bit, the frame checksum. Stable, dependency-free, and cheap
-/// enough to run on every frame.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One client request. The tenant name scopes scheduling (fair-queue
 /// lane) and budget enforcement.
@@ -171,12 +160,16 @@ impl Response {
 
 // --- framing ---------------------------------------------------------
 
-/// Writes one frame (`len | body | checksum`) to `w`.
+/// Writes one frame (`len | body | checksum`) to `w` with one write.
+/// The frame is assembled first because under `TCP_NODELAY` every write
+/// call leaves as its own segment and can wake the reader.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     debug_assert!(body.len() <= MAX_FRAME_LEN);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
-    w.write_all(&fnv1a(body).to_le_bytes())?;
+    let mut frame = Vec::with_capacity(4 + body.len() + 8);
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    frame.extend_from_slice(&fnv1a(body).to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -185,60 +178,91 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
 pub enum FrameError {
     /// The peer closed the connection cleanly between frames.
     Eof,
-    /// An I/O error (includes read timeouts, which callers use to poll
-    /// shutdown flags).
+    /// A read timed out before the frame's first byte arrived. The
+    /// stream is still at a frame boundary, so a caller polling with a
+    /// read timeout (to check shutdown flags) may simply read again.
+    Idle,
+    /// An I/O error, including a read timeout after part of the frame
+    /// arrived: the stream is then no longer at a frame boundary.
     Io(io::Error),
     /// The frame was structurally bad: oversized length prefix,
     /// truncated body, or checksum mismatch.
     Corrupt(Fault),
 }
 
-/// Reads one frame, verifying the checksum. Truncation mid-frame and
-/// checksum mismatches come back as `Corrupt` with a typed
-/// [`FaultKind::Parse`] fault.
+/// Reads one frame, verifying the checksum. A frame that has arrived
+/// costs two reads: the length prefix, then body and checksum together.
+/// Truncation mid-frame and checksum mismatches come back as `Corrupt`
+/// with a typed [`FaultKind::Parse`] fault.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
+    read_frame_with(r, || false)
+}
+
+/// [`read_frame`] for a reader with a read timeout. A timeout before the
+/// frame's first byte is [`FrameError::Idle`]. A timeout after it asks
+/// `keep_waiting`: `true` resumes the same frame where it stopped,
+/// `false` gives up with the timeout as [`FrameError::Io`].
+pub fn read_frame_with(
+    r: &mut impl Read,
+    mut keep_waiting: impl FnMut() -> bool,
+) -> Result<Vec<u8>, FrameError> {
     let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf) {
-        Ok(0) => return Err(FrameError::Eof),
-        Ok(n) if n < 4 => {
-            if let Err(e) = r.read_exact(&mut len_buf[n..]) {
-                return Err(truncated(e));
-            }
+    let first = loop {
+        match r.read(&mut len_buf) {
+            Ok(0) => return Err(FrameError::Eof),
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) => return Err(FrameError::Idle),
+            Err(e) => return Err(FrameError::Io(e)),
         }
-        Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => return read_frame(r),
-        Err(e) => return Err(FrameError::Io(e)),
-    }
+    };
+    fill(r, &mut len_buf[first..], &mut keep_waiting)?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Corrupt(Fault::parse(format!(
             "frame length {len} exceeds cap {MAX_FRAME_LEN}"
         ))));
     }
-    let mut body = vec![0u8; len];
-    if let Err(e) = r.read_exact(&mut body) {
-        return Err(truncated(e));
-    }
-    let mut sum_buf = [0u8; 8];
-    if let Err(e) = r.read_exact(&mut sum_buf) {
-        return Err(truncated(e));
-    }
-    let expect = u64::from_le_bytes(sum_buf);
-    let got = fnv1a(&body);
+    let mut buf = vec![0u8; len + 8];
+    fill(r, &mut buf, &mut keep_waiting)?;
+    let expect = u64::from_le_bytes(buf[len..].try_into().expect("8 checksum bytes"));
+    buf.truncate(len);
+    let got = fnv1a(&buf);
     if got != expect {
         return Err(FrameError::Corrupt(Fault::parse(format!(
             "frame checksum mismatch: stored {expect:#x}, computed {got:#x}"
         ))));
     }
-    Ok(body)
+    Ok(buf)
 }
 
-fn truncated(e: io::Error) -> FrameError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        FrameError::Corrupt(Fault::parse("truncated frame"))
-    } else {
-        FrameError::Io(e)
+/// Whether `e` is a read or write timeout (`WouldBlock` on Unix,
+/// `TimedOut` on Windows).
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// Fills `buf` from `r`, resuming after a timeout while `keep_waiting`
+/// says so. EOF before `buf` is full is a truncated frame.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    keep_waiting: &mut impl FnMut() -> bool,
+) -> Result<(), FrameError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => return Err(FrameError::Corrupt(Fault::parse("truncated frame"))),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) && keep_waiting() => {}
+            Err(e) => return Err(FrameError::Io(e)),
+        }
     }
+    Ok(())
 }
 
 // --- body encoding ---------------------------------------------------
@@ -753,6 +777,108 @@ mod tests {
             Err(FrameError::Eof) => {}
             other => panic!("expected eof, got {other:?}"),
         }
+    }
+
+    /// Counts the `read`/`write` calls a frame costs at the I/O boundary.
+    struct Counting<T> {
+        inner: T,
+        calls: usize,
+    }
+
+    impl<W: Write> Write for Counting<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_at_most_two_reads() {
+        for req in sample_requests() {
+            let body = req.encode();
+            let mut w = Counting {
+                inner: Vec::new(),
+                calls: 0,
+            };
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(w.calls, 1, "{req:?}: writes per frame");
+            let mut layout = (body.len() as u32).to_le_bytes().to_vec();
+            layout.extend_from_slice(&body);
+            layout.extend_from_slice(&fnv1a(&body).to_le_bytes());
+            assert_eq!(w.inner, layout, "{req:?}: frame bytes");
+            let mut r = Counting {
+                inner: w.inner.as_slice(),
+                calls: 0,
+            };
+            assert_eq!(read_frame(&mut r).unwrap(), body);
+            assert!(r.calls <= 2, "{req:?}: {} reads per frame", r.calls);
+        }
+    }
+
+    /// A reader that replays a script: one chunk or error per `read`.
+    struct Script(std::collections::VecDeque<io::Result<Vec<u8>>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Ok(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_timeout_mid_frame_resumes_the_same_frame() {
+        let body = Request::Scrape { tenant: "x".into() }.encode();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &body).unwrap();
+        // Stall inside the length prefix, right after it, and in the body.
+        for cut in [2, 4, 9] {
+            let script = || {
+                Script(
+                    [
+                        Ok(wire[..cut].to_vec()),
+                        Err(io::ErrorKind::WouldBlock.into()),
+                        Ok(wire[cut..].to_vec()),
+                    ]
+                    .into(),
+                )
+            };
+            let mut waits = 0;
+            let got = read_frame_with(&mut script(), || {
+                waits += 1;
+                true
+            });
+            assert_eq!(got.unwrap(), body, "cut at {cut}");
+            assert_eq!(waits, 1);
+            // Giving up mid-frame is an I/O error, never idle time: the
+            // stream is no longer at a frame boundary.
+            match read_frame_with(&mut script(), || false) {
+                Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+                other => panic!("cut at {cut}: expected io, got {other:?}"),
+            }
+        }
+        // A timeout before the first byte is idle time.
+        let mut idle = Script([Err(io::ErrorKind::WouldBlock.into())].into());
+        assert!(matches!(read_frame(&mut idle), Err(FrameError::Idle)));
     }
 
     #[test]

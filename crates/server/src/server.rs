@@ -34,14 +34,14 @@ use parking_lot::RwLock;
 use tl_fault::{Budget, Degradation, Fault};
 use tl_obs::{names, MetricsRecorder, Recorder};
 use tl_twig::canonical::key_of;
-use tl_twig::{parse_twig, Twig};
+use tl_twig::{parse_twig_in, Twig, TwigParseError};
 use treelattice::{
     markov_estimate_store, Catalog, DurabilityPolicy, DurableLattice, DurableOptions, EngineConfig,
     EstimateOptions, EstimationEngine, Estimator, Lookup, MmapCatalog, PatternStore,
     ResilientEstimate, TreeLattice, TunedLattice,
 };
 
-use crate::protocol::{read_frame, write_frame, FrameError, Request, Response, WireEstimate};
+use crate::protocol::{read_frame_with, write_frame, FrameError, Request, Response, WireEstimate};
 use crate::queue::{FairQueue, Refusal, TenantConfig};
 
 /// Per-tenant budget template; a concrete [`Budget`] (with its deadline
@@ -186,10 +186,15 @@ impl Backend {
         }
     }
 
-    fn labels(&self) -> tl_xml::LabelInterner {
+    /// Parses `query` against the served label table in place, under
+    /// the store read lock; labels the table lacks get ids past its end,
+    /// which estimate to zero.
+    fn parse(&self, query: &str) -> Result<Twig, TwigParseError> {
         match self {
-            Backend::Memory { store, .. } => store.read().tuned().lattice().labels().clone(),
-            Backend::Mmap { catalog } => catalog.labels().clone(),
+            Backend::Memory { store, .. } => {
+                parse_twig_in(query, store.read().tuned().lattice().labels())
+            }
+            Backend::Mmap { catalog } => parse_twig_in(query, catalog.labels()),
         }
     }
 
@@ -308,6 +313,9 @@ struct Shared {
     backend: Backend,
     queue: FairQueue<Job>,
     budgets: Vec<BudgetSpec>,
+    /// Each lane's latency histogram name, built once at start-up and
+    /// indexed by lane.
+    tenant_latency: Vec<String>,
     rec: Arc<MetricsRecorder>,
     shutting_down: AtomicBool,
     /// Per-connection idle deadline; zero disables shedding.
@@ -323,9 +331,24 @@ impl Shared {
     }
 
     fn parse(&self, query: &str) -> Result<Twig, Response> {
-        let mut labels = self.backend.labels();
-        parse_twig(query, &mut labels)
+        self.backend
+            .parse(query)
             .map_err(|e| Response::usage(Fault::parse(format!("query `{query}`: {e}"))))
+    }
+
+    /// Whether a connection whose last frame completed at `last_activity`
+    /// should keep waiting on its peer: not once the server shuts down,
+    /// nor past the idle deadline, which sheds half-open and slow-loris
+    /// peers deterministically instead of holding a thread forever.
+    fn keep_waiting(&self, last_activity: Instant) -> bool {
+        if self.shutting_down.load(Ordering::SeqCst) {
+            return false;
+        }
+        if !self.idle_timeout.is_zero() && last_activity.elapsed() >= self.idle_timeout {
+            self.rec.add(names::SERVER_IDLE_CLOSED, 1);
+            return false;
+        }
+        true
     }
 
     /// The shed answer: rung 3 with provenance, never an untyped error.
@@ -483,10 +506,7 @@ impl Shared {
             let resp = self.run_work(&job.work, job.budget);
             let us = job.admitted.elapsed().as_micros() as u64;
             self.rec.observe(names::SERVER_LATENCY_US, us);
-            self.rec.observe(
-                &names::server_tenant_latency(self.queue.tenant_name(lane)),
-                us,
-            );
+            self.rec.observe(&self.tenant_latency[lane], us);
             match &resp {
                 Response::Error { .. } => self.rec.add(names::SERVER_RESP_FAULT, 1),
                 Response::Estimate(e) if e.degradation.is_degraded() => {
@@ -632,10 +652,15 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
         );
     }
 
+    let tenant_latency = lanes
+        .iter()
+        .map(|lane| names::server_tenant_latency(&lane.name))
+        .collect();
     let shared = Arc::new(Shared {
         backend,
         queue: FairQueue::new(&lanes),
         budgets,
+        tenant_latency,
         rec,
         shutting_down: AtomicBool::new(false),
         idle_timeout: Duration::from_millis(config.idle_timeout_ms),
@@ -727,25 +752,13 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     let mut writer = stream;
     let mut last_activity = Instant::now();
     loop {
-        let body = match read_frame(&mut reader) {
+        // The 100 ms read timeout polls the shutdown flag and the idle
+        // deadline. A timeout mid-frame resumes the same frame: only a
+        // gap before a frame's first byte is idle time.
+        let body = match read_frame_with(&mut reader, || shared.keep_waiting(last_activity)) {
             Ok(body) => body,
-            Err(FrameError::Eof) => return,
-            Err(FrameError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Idle deadline: shed half-open / slow-loris peers
-                // deterministically instead of holding a thread forever.
-                if !shared.idle_timeout.is_zero() && last_activity.elapsed() >= shared.idle_timeout
-                {
-                    shared.rec.add(names::SERVER_IDLE_CLOSED, 1);
-                    return;
-                }
-                continue;
-            }
-            Err(FrameError::Io(_)) => return,
+            Err(FrameError::Idle) if shared.keep_waiting(last_activity) => continue,
+            Err(FrameError::Eof | FrameError::Idle | FrameError::Io(_)) => return,
             Err(FrameError::Corrupt(fault)) => {
                 // The stream cannot be resynchronized after garbage:
                 // answer the typed fault, then close.

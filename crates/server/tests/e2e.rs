@@ -1,9 +1,12 @@
 //! End-to-end tests: a real server on an ephemeral port, driven through
 //! the blocking client.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::Duration;
 
 use tl_fault::{Degradation, FaultKind};
+use tl_server::protocol::{read_frame, write_frame, FrameError, Request, Response};
 use tl_server::{serve, BudgetSpec, Client, ClientError, ServerConfig, TenantSpec};
 use tl_xml::{parse_document, ParseOptions};
 use treelattice::{
@@ -176,6 +179,68 @@ fn scrape_exposes_server_metrics() {
     assert!(snap.histograms["server.latency_us"].count >= 5);
     // Unconfigured tenant names ride the default lane.
     assert!(snap.histograms["server.tenant.default.latency_us"].count >= 5);
+    handle.shutdown().expect("clean drain");
+}
+
+/// One estimate request's frame, as the client would send it.
+fn estimate_frame(query: &str) -> Vec<u8> {
+    let body = Request::Estimate {
+        tenant: "default".into(),
+        estimator: Estimator::Recursive,
+        query: query.into(),
+    }
+    .encode();
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &body).unwrap();
+    wire
+}
+
+#[test]
+fn a_frame_whose_body_arrives_late_is_answered() {
+    let lattice = sample_lattice();
+    let path = write_summary(&lattice, "late-body.tlat");
+    let handle = serve(ServerConfig::new(&path)).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let wire = estimate_frame("a/b");
+    stream.write_all(&wire[..4]).unwrap();
+    // Longer than the server's 100 ms read poll: the gap falls inside
+    // the frame, so it is not idle time.
+    std::thread::sleep(Duration::from_millis(300));
+    stream.write_all(&wire[4..]).unwrap();
+
+    let local = lattice.estimate(&lattice.parse_query("a/b").unwrap(), Estimator::Recursive);
+    match Response::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+        Response::Estimate(e) => assert_eq!(e.value.to_bits(), local.to_bits()),
+        other => panic!("expected an estimate, got {other:?}"),
+    }
+    handle.shutdown().expect("clean drain");
+}
+
+#[test]
+fn a_peer_stalled_mid_frame_past_the_idle_timeout_is_closed() {
+    let lattice = sample_lattice();
+    let path = write_summary(&lattice, "stalled.tlat");
+    let mut config = ServerConfig::new(&path);
+    config.idle_timeout_ms = 200;
+    let handle = serve(config).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    stream.write_all(&estimate_frame("a/b")[..4]).unwrap();
+    match read_frame(&mut stream) {
+        Err(FrameError::Eof) => {}
+        other => panic!("expected the server to close, got {other:?}"),
+    }
+    let mut client = Client::connect(handle.addr(), "ops").unwrap();
+    let snap = tl_obs::Snapshot::from_json(&client.scrape().unwrap()).unwrap();
+    assert_eq!(snap.counters["server.conn.idle_closed"], 1);
+    assert_eq!(snap.counters["server.responses.fault"], 0);
     handle.shutdown().expect("clean drain");
 }
 

@@ -1,7 +1,7 @@
 //! Weighted-fairness guarantees: a flooding tenant cannot starve a
 //! trickle tenant past the configured weight ratio.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -72,6 +72,10 @@ fn trickle_tenant_not_starved_under_live_flood() {
         TenantConfig::new("trickle", 1, 64),
     ]));
     let stop = Arc::new(AtomicBool::new(false));
+    // Trickle items known to be queued: counted after their enqueue
+    // returns, uncounted when served, so a positive value means trickle
+    // work is waiting however the host schedules the producer thread.
+    let trickle_queued = Arc::new(AtomicI64::new(0));
 
     let mut producers = Vec::new();
     for _ in 0..4 {
@@ -87,12 +91,20 @@ fn trickle_tenant_not_starved_under_live_flood() {
     {
         let q = q.clone();
         let stop = stop.clone();
+        let queued = trickle_queued.clone();
         producers.push(thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                let _ = q.enqueue(1, 1u32);
+                if q.enqueue(1, 1u32).is_ok() {
+                    queued.fetch_add(1, Ordering::SeqCst);
+                }
                 thread::sleep(Duration::from_micros(200));
             }
         }));
+    }
+    // Start consuming once trickle work is queued, so the run tests the
+    // scheduler rather than how soon the host first runs the producer.
+    while trickle_queued.load(Ordering::SeqCst) == 0 {
+        thread::yield_now();
     }
 
     // Consume for a fixed number of dispatches, tracking shares.
@@ -101,10 +113,13 @@ fn trickle_tenant_not_starved_under_live_flood() {
     for _ in 0..4000 {
         let (lane, _) = q.dequeue().unwrap();
         served[lane] += 1;
+        if lane == 1 {
+            trickle_queued.fetch_sub(1, Ordering::SeqCst);
+        }
         // Count dispatches where trickle work was available but the
         // flood was served: these are the only moments fairness is
         // actually tested.
-        if lane == 0 {
+        if lane == 0 && trickle_queued.load(Ordering::SeqCst) > 0 {
             trickle_waits += 1;
         } else {
             trickle_waits = 0;

@@ -24,7 +24,7 @@
 //! edge and the estimators need no changes. The plain [`parse_twig`]
 //! rejects value predicates with a clear error.
 
-use tl_xml::{LabelInterner, ValueMode};
+use tl_xml::{LabelId, LabelInterner, ValueMode};
 
 use crate::twig::{Twig, TwigNodeId};
 
@@ -70,7 +70,7 @@ pub fn parse_twig(query: &str, labels: &mut LabelInterner) -> Result<Twig, TwigP
         pos: 0,
         values: None,
     }
-    .parse(&mut |name| Ok(labels.intern(name)))
+    .parse(&mut |name| labels.intern(name))
 }
 
 /// Parses a twig query that may contain value predicates
@@ -86,23 +86,30 @@ pub fn parse_twig_valued(
         pos: 0,
         values: Some(mode),
     }
-    .parse(&mut |name| Ok(labels.intern(name)))
+    .parse(&mut |name| labels.intern(name))
 }
 
-/// Parses a twig query against a fixed interner. Labels that do not occur in
-/// `labels` produce an error — useful when a caller wants to reject queries
-/// that cannot possibly match a given document. (Estimators instead treat
-/// unknown labels as selectivity 0; they intern first.)
+/// Parses a twig query against a read-only label table, without copying
+/// it. A label the table lacks gets the id `labels.len() + i`, where `i`
+/// numbers the distinct unknown labels in order of first appearance:
+/// exactly the ids [`parse_twig`] would intern into a clone of `labels`,
+/// so both give the same [`Twig`]. Such ids match nothing (estimators
+/// answer zero for them) and cannot be resolved against `labels`.
 pub fn parse_twig_in(query: &str, labels: &LabelInterner) -> Result<Twig, TwigParseError> {
+    let mut unknown: Vec<String> = Vec::new();
     Parser {
         input: query.as_bytes(),
         pos: 0,
         values: None,
     }
     .parse(&mut |name| {
-        labels
-            .get(name)
-            .ok_or_else(|| format!("unknown label `{name}`"))
+        labels.get(name).unwrap_or_else(|| {
+            let i = unknown.iter().position(|u| u == name).unwrap_or_else(|| {
+                unknown.push(name.to_owned());
+                unknown.len() - 1
+            });
+            LabelId(u32::try_from(labels.len() + i).expect("more than u32::MAX labels"))
+        })
     })
 }
 
@@ -113,9 +120,9 @@ struct Parser<'a> {
     values: Option<ValueMode>,
 }
 
-type LabelFn<'f> = dyn FnMut(&str) -> Result<tl_xml::LabelId, String> + 'f;
+type LabelFn<'f> = dyn FnMut(&str) -> LabelId + 'f;
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn error(&self, message: impl Into<String>) -> TwigParseError {
         TwigParseError {
             message: message.into(),
@@ -141,8 +148,7 @@ impl Parser<'_> {
         }
         self.skip_ws();
         let name = self.read_name()?;
-        let label = intern(&name).map_err(|m| self.error(m))?;
-        let mut twig = Twig::single(label);
+        let mut twig = Twig::single(intern(name));
         self.parse_rest(twig.root(), &mut twig, intern)?;
         self.skip_ws();
         if self.pos != self.input.len() {
@@ -173,8 +179,7 @@ impl Parser<'_> {
                         self.parse_value_predicate(node, twig, intern)?;
                     } else {
                         let name = self.read_name()?;
-                        let label = intern(&name).map_err(|m| self.error(m))?;
-                        let child = twig.add_child(node, label);
+                        let child = twig.add_child(node, intern(name));
                         self.parse_rest(child, twig, intern)?;
                     }
                     self.skip_ws();
@@ -192,8 +197,7 @@ impl Parser<'_> {
                     }
                     self.skip_ws();
                     let name = self.read_name()?;
-                    let label = intern(&name).map_err(|m| self.error(m))?;
-                    let child = twig.add_child(node, label);
+                    let child = twig.add_child(node, intern(name));
                     return self.parse_rest(child, twig, intern);
                 }
                 _ => return Ok(()),
@@ -222,8 +226,7 @@ impl Parser<'_> {
             return Err(self
                 .error("value predicate literal is empty or values are ignored by the ValueMode"));
         };
-        let label = intern(&value_label).map_err(|m| self.error(m))?;
-        twig.add_child(node, label);
+        twig.add_child(node, intern(&value_label));
         Ok(())
     }
 
@@ -260,7 +263,7 @@ impl Parser<'_> {
         String::from_utf8(out).map_err(|_| self.error("literal is not valid UTF-8"))
     }
 
-    fn read_name(&mut self) -> Result<String, TwigParseError> {
+    fn read_name(&mut self) -> Result<&'a str, TwigParseError> {
         let start = self.pos;
         let first = self.peek().ok_or_else(|| self.error("expected a name"))?;
         if !(first.is_ascii_alphabetic()
@@ -282,7 +285,6 @@ impl Parser<'_> {
             }
         }
         std::str::from_utf8(&self.input[start..self.pos])
-            .map(str::to_owned)
             .map_err(|_| self.error("name is not valid UTF-8"))
     }
 }
@@ -290,6 +292,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn parse(q: &str) -> (Twig, LabelInterner) {
         let mut it = LabelInterner::new();
@@ -383,12 +387,66 @@ mod tests {
     }
 
     #[test]
-    fn fixed_interner_rejects_unknown_labels() {
+    fn fixed_interner_maps_unknown_labels_past_the_table() {
         let mut it = LabelInterner::new();
         it.intern("a");
-        assert!(parse_twig_in("a", &it).is_ok());
-        let err = parse_twig_in("a/b", &it).unwrap_err();
-        assert!(err.message.contains("unknown label"), "{err}");
+        it.intern("b");
+        let t = parse_twig_in("a[x/b][y][x]", &it).unwrap();
+        let labels: Vec<u32> = t.pre_order().iter().map(|&n| t.label(n).0).collect();
+        // a, b known; x and y numbered past the table in first-seen order.
+        assert_eq!(labels, vec![0, 2, 1, 3, 2]);
+        assert_eq!(it.len(), 2);
+    }
+
+    /// A query over known labels `k0..k5` and unknown `u0..u3`, with
+    /// nested predicates and path continuations.
+    struct ArbQuery;
+
+    impl Strategy for ArbQuery {
+        type Value = String;
+
+        fn generate(&self, rng: &mut TestRng) -> String {
+            fn step(rng: &mut TestRng, depth: u32) -> String {
+                let n = rng.below(10);
+                let mut q = if n < 6 {
+                    format!("k{n}")
+                } else {
+                    format!("u{}", n - 6)
+                };
+                if depth > 0 {
+                    for _ in 0..rng.below(3) {
+                        q = format!("{q}[{}]", step(rng, depth - 1));
+                    }
+                    if rng.below(2) == 0 {
+                        q = format!("{q}/{}", step(rng, depth - 1));
+                    }
+                }
+                q
+            }
+            step(rng, 3)
+        }
+    }
+
+    proptest! {
+        /// Parsing against a read-only table gives the twig (labels and
+        /// shape) that clone-and-intern gives, and leaves the table as
+        /// it was.
+        #[test]
+        fn read_only_parse_matches_clone_and_intern(query in ArbQuery) {
+            let mut table = LabelInterner::new();
+            for i in 0..6 {
+                table.intern(&format!("k{i}"));
+            }
+            let names = |t: &LabelInterner| -> Vec<String> {
+                t.iter().map(|(_, n)| n.to_owned()).collect()
+            };
+            let before = names(&table);
+            let read_only = parse_twig_in(&query, &table).unwrap();
+            let mut clone = table.clone();
+            let interned = parse_twig(&query, &mut clone).unwrap();
+            prop_assert_eq!(read_only, interned);
+            prop_assert_eq!(names(&table), before);
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ proptest! {
     /// panic would fail the test; OOM/stack overflow would abort it.)
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        let _fp = tl_fault::failpoints::shared();
         match parse_document(&bytes, ParseOptions::default()) {
             Ok(doc) => prop_assert!(!doc.is_empty()),
             Err(e) => {
@@ -28,6 +29,7 @@ proptest! {
     /// metacharacters so tag/attribute/comment code paths actually run.
     #[test]
     fn markup_soup_never_panics(picks in prop::collection::vec(any::<u8>(), 0..256)) {
+        let _fp = tl_fault::failpoints::shared();
         const ALPHABET: &[u8] = b"<>/=!?-'\" \tab\n&;[]cD";
         let bytes: Vec<u8> = picks
             .iter()
@@ -48,6 +50,7 @@ proptest! {
     /// error — bounded memory no matter how deep the input goes.
     #[test]
     fn nesting_beyond_cap_is_rejected(depth in 5usize..64) {
+        let _fp = tl_fault::failpoints::shared();
         let mut input = Vec::new();
         for _ in 0..depth {
             input.extend_from_slice(b"<a>");
@@ -65,6 +68,7 @@ proptest! {
 /// with an error long before the builder stack grows with the input.
 #[test]
 fn pathological_unclosed_nesting_errors_quickly() {
+    let _fp = tl_fault::failpoints::shared();
     let mut input = Vec::with_capacity(300_000);
     for _ in 0..100_000 {
         input.extend_from_slice(b"<a>");
@@ -80,6 +84,7 @@ fn pathological_unclosed_nesting_errors_quickly() {
 /// Unclosed-but-shallow documents are a plain parse error.
 #[test]
 fn unclosed_document_is_a_parse_error() {
+    let _fp = tl_fault::failpoints::shared();
     for input in [
         &b"<a><b>"[..],
         b"<a>",
@@ -101,8 +106,9 @@ fn unclosed_document_is_a_parse_error() {
 /// converts into `FaultKind::Parse`, and parsing recovers once inactive.
 #[test]
 fn injected_parse_fault_is_typed_and_transient() {
+    let fp = tl_fault::failpoints::exclusive();
     let input = b"<a><b/></a>";
-    tl_fault::failpoints::with_active("xml.parse=always", 0, || {
+    fp.with_active("xml.parse=always", 0, || {
         let err = parse_document(input, ParseOptions::default()).unwrap_err();
         let fault: tl_fault::Fault = err.into();
         assert_eq!(fault.kind, tl_fault::FaultKind::Parse);

@@ -152,13 +152,14 @@ fn drive_site(site: &str, doc: &Document, lattice: &TreeLattice, twig: &tl_twig:
 /// dropped even then.
 #[test]
 fn every_site_and_rule_yields_typed_outcomes_never_a_panic() {
+    let fp = failpoints::exclusive();
     let doc = dataset();
     let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
     let twig = twigs_for(&doc, 1).remove(0);
     for seed in [1u64, 7, 42] {
         for rule in ["always", "nth:2", "1in2"] {
             for site in sites::ALL {
-                failpoints::with_active(&format!("{site}={rule}"), seed, || {
+                fp.with_active(&format!("{site}={rule}"), seed, || {
                     drive_site(site, &doc, &lattice, &twig);
                 });
                 assert!(!failpoints::is_active(), "plan leaked past with_active");
@@ -170,11 +171,12 @@ fn every_site_and_rule_yields_typed_outcomes_never_a_panic() {
 /// Same seed, same plan, same workload → identical injection decisions.
 #[test]
 fn injection_is_deterministic_per_seed() {
+    let fp = failpoints::exclusive();
     let doc = dataset();
     let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
     let twigs = twigs_for(&doc, 12);
     let run = |seed: u64| -> Vec<bool> {
-        failpoints::with_active("engine.worker=1in3", seed, || {
+        fp.with_active("engine.worker=1in3", seed, || {
             let engine = EstimationEngine::new(EngineConfig {
                 threads: 1,
                 ..EngineConfig::default()
@@ -201,6 +203,7 @@ fn injection_is_deterministic_per_seed() {
 /// stays consistent, answering the identical batch correctly afterwards.
 #[test]
 fn batch_partial_failure_is_isolated_and_cache_stays_consistent() {
+    let fp = failpoints::exclusive();
     let doc = dataset();
     let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
     let mut twigs = twigs_for(&doc, 6);
@@ -216,7 +219,7 @@ fn batch_partial_failure_is_isolated_and_cache_stays_consistent() {
     });
     // threads=1 visits queries in order and every worker consults the
     // fail-point on entry, so hit 5 is the valid query at index 4.
-    let results = failpoints::with_active("engine.worker=nth:5", 0, || {
+    let results = fp.with_active("engine.worker=nth:5", 0, || {
         engine.estimate_batch_resilient(&lattice, &twigs, Estimator::RecursiveVoting, &opts)
     });
     assert_eq!(results.len(), twigs.len());
@@ -252,6 +255,7 @@ fn batch_partial_failure_is_isolated_and_cache_stays_consistent() {
 /// bit-for-bit the plain paths, all tagged undegraded.
 #[test]
 fn resilient_paths_match_plain_paths_when_nothing_fires() {
+    let _fp = failpoints::shared();
     let doc = dataset();
     let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
     let twigs = twigs_for(&doc, 10);
@@ -276,6 +280,7 @@ fn resilient_paths_match_plain_paths_when_nothing_fires() {
 /// `tests/gates/accuracy.json`.
 #[test]
 fn degraded_xmark_estimates_stay_within_5x_of_the_accuracy_gate() {
+    let _fp = failpoints::shared();
     let gate_json = std::fs::read_to_string("../../tests/gates/accuracy.json")
         .expect("accuracy gate file present");
     let gate = tl_obs::Snapshot::from_json(&gate_json).expect("gate file is a tl-metrics snapshot");
@@ -323,6 +328,7 @@ fn degraded_xmark_estimates_stay_within_5x_of_the_accuracy_gate() {
 /// every estimate exists, is finite, and carries the timeout cause.
 #[test]
 fn expired_deadline_collapses_to_markov_totally() {
+    let _fp = failpoints::shared();
     let doc = dataset();
     let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
     let opts = EstimateOptions {

@@ -105,7 +105,7 @@ fn assert_attribution(
 
 #[test]
 fn clean_path_is_attributed_to_rung_one_and_matches_the_oracle() {
-    let _guard = failpoints::exclusive();
+    let _fp = failpoints::shared();
     let (doc, lattice, twigs) = fixture();
     let opts = EstimateOptions::default();
     for twig in &twigs {
@@ -127,7 +127,7 @@ fn clean_path_is_attributed_to_rung_one_and_matches_the_oracle() {
 
 #[test]
 fn max_k_budget_is_attributed_to_reduced_k() {
-    let _guard = failpoints::exclusive();
+    let _fp = failpoints::shared();
     let (doc, lattice, twigs) = fixture();
     let opts = EstimateOptions {
         budget: Budget::unlimited().with_max_k(2),
@@ -161,13 +161,14 @@ fn drive_injected(
     expect_degraded: bool,
     expect_cause: Option<FaultKind>,
 ) -> Vec<(Twig, ResilientEstimate)> {
+    let fp = failpoints::exclusive();
     let (doc, lattice, twigs) = fixture();
     let opts = EstimateOptions::default();
     // Size ≥ 5 twigs genuinely decompose on a k=3 lattice, so the budget
     // sites are consulted.
     let big: Vec<Twig> = twigs.iter().filter(|t| t.len() >= 5).cloned().collect();
     assert!(!big.is_empty());
-    let results: Vec<(Twig, ResilientEstimate)> = failpoints::with_active(spec, 9, || {
+    let results: Vec<(Twig, ResilientEstimate)> = fp.with_active(spec, 9, || {
         big.iter()
             .map(|t| {
                 (
@@ -177,7 +178,6 @@ fn drive_injected(
             })
             .collect()
     });
-    let _guard = failpoints::exclusive();
     for (twig, res) in &results {
         if expect_degraded {
             assert!(
@@ -242,6 +242,7 @@ fn memory_exhaustion_is_attributed_with_budget_cause() {
 
 #[test]
 fn engine_worker_panic_is_a_typed_fault_not_a_mislabeled_estimate() {
+    let fp = failpoints::exclusive();
     let (doc, lattice, twigs) = fixture();
     let opts = EstimateOptions::default();
     let engine = EstimationEngine::new(EngineConfig {
@@ -249,13 +250,12 @@ fn engine_worker_panic_is_a_typed_fault_not_a_mislabeled_estimate() {
         ..EngineConfig::default()
     });
     let twig = &twigs[0];
-    let (first, second) = failpoints::with_active("engine.worker=nth:1", 3, || {
+    let (first, second) = fp.with_active("engine.worker=nth:1", 3, || {
         (
             engine.estimate_resilient(&lattice, twig, Estimator::Recursive, &opts),
             engine.estimate_resilient(&lattice, twig, Estimator::Recursive, &opts),
         )
     });
-    let _guard = failpoints::exclusive();
     // First call: the injected panic must surface as WorkerPanic — never
     // as a degraded-but-tagged estimate.
     assert_eq!(first.unwrap_err().kind, FaultKind::WorkerPanic);
@@ -278,6 +278,7 @@ fn every_injection_site_preserves_attribution_or_types_its_fault() {
     // Sweep all sites with an always-rule: estimation sites must keep the
     // tag-matches-rung contract; pipeline sites must surface their typed
     // fault kind. Either way, nothing panics and nothing is mislabeled.
+    let fp = failpoints::exclusive();
     let (doc, lattice, twigs) = fixture();
     let opts = EstimateOptions::default();
     let twig = twigs.iter().find(|t| t.len() >= 5).expect("big twig");
@@ -285,10 +286,9 @@ fn every_injection_site_preserves_attribution_or_types_its_fault() {
         let spec = format!("{site}=always");
         match site {
             "budget.deadline" | "budget.mem" => {
-                let res = failpoints::with_active(&spec, 5, || {
+                let res = fp.with_active(&spec, 5, || {
                     lattice.estimate_resilient(twig, Estimator::Recursive, &opts)
                 });
-                let _guard = failpoints::exclusive();
                 assert!(res.degradation.is_degraded(), "{site}");
                 assert_attribution(
                     &doc,
@@ -305,23 +305,26 @@ fn every_injection_site_preserves_attribution_or_types_its_fault() {
                     threads: 1,
                     ..EngineConfig::default()
                 });
-                let err = failpoints::with_active(&spec, 5, || {
-                    engine.estimate_resilient(&lattice, twig, Estimator::Recursive, &opts)
-                })
-                .unwrap_err();
+                let err = fp
+                    .with_active(&spec, 5, || {
+                        engine.estimate_resilient(&lattice, twig, Estimator::Recursive, &opts)
+                    })
+                    .unwrap_err();
                 assert_eq!(err.kind, FaultKind::WorkerPanic, "{site}");
             }
             "xml.parse" => {
-                let err = failpoints::with_active(&spec, 5, || {
-                    tl_xml::parse_document(b"<a><b/></a>", tl_xml::ParseOptions::default())
-                })
-                .unwrap_err();
+                let err = fp
+                    .with_active(&spec, 5, || {
+                        tl_xml::parse_document(b"<a><b/></a>", tl_xml::ParseOptions::default())
+                    })
+                    .unwrap_err();
                 let fault: treelattice::Fault = err.into();
                 assert_eq!(fault.kind, FaultKind::Parse, "{site}");
             }
             "summary.corrupt" => {
                 let bytes = lattice.to_bytes();
-                let err = failpoints::with_active(&spec, 5, || TreeLattice::from_bytes(&bytes))
+                let err = fp
+                    .with_active(&spec, 5, || TreeLattice::from_bytes(&bytes))
                     .unwrap_err();
                 let fault: treelattice::Fault = err.into();
                 assert_eq!(fault.kind, FaultKind::CorruptSummary, "{site}");
@@ -329,10 +332,9 @@ fn every_injection_site_preserves_attribution_or_types_its_fault() {
             "miner.deadline" => {
                 // A build under a dying deadline must still produce a
                 // lattice whose ladder keeps the attribution contract.
-                let degraded = failpoints::with_active(&spec, 5, || {
+                let degraded = fp.with_active(&spec, 5, || {
                     TreeLattice::build(&doc, &BuildConfig::with_k(3))
                 });
-                let _guard = failpoints::exclusive();
                 let res = degraded.estimate_resilient(twig, Estimator::Recursive, &opts);
                 assert_attribution(
                     &doc,
@@ -361,9 +363,9 @@ fn every_injection_site_preserves_attribution_or_types_its_fault() {
                 let (mut durable, _) =
                     treelattice::DurableLattice::open(&dir, Some(&lattice), &opts, &tl_obs::NOOP)
                         .expect("open durable dir");
-                let err =
-                    failpoints::with_active(&spec, 5, || durable.apply(twig, 9, 1, &tl_obs::NOOP))
-                        .unwrap_err();
+                let err = fp
+                    .with_active(&spec, 5, || durable.apply(twig, 9, 1, &tl_obs::NOOP))
+                    .unwrap_err();
                 assert_eq!(err.kind, FaultKind::CorruptSummary, "{site}");
                 std::fs::remove_dir_all(&dir).ok();
             }
@@ -383,10 +385,10 @@ fn every_injection_site_preserves_attribution_or_types_its_fault() {
                 durable
                     .apply(twig, 9, 1, &tl_obs::NOOP)
                     .expect("append without injection");
-                let err = failpoints::with_active(&spec, 5, || durable.snapshot(&tl_obs::NOOP))
+                let err = fp
+                    .with_active(&spec, 5, || durable.snapshot(&tl_obs::NOOP))
                     .unwrap_err();
                 assert_eq!(err.kind, FaultKind::CorruptSummary, "{site}");
-                let _guard = failpoints::exclusive();
                 let (recovered, report) =
                     treelattice::DurableLattice::open(&dir, Some(&lattice), &opts, &tl_obs::NOOP)
                         .expect("recovery after snapshot fault");
