@@ -45,7 +45,7 @@ pub struct ServerBenchConfig {
     /// Closed-loop connections per unlimited tenant (the budgeted tenant
     /// always gets exactly one).
     pub conns_per_tenant: usize,
-    /// Server worker threads.
+    /// Server execution slots (`ServerConfig::workers`).
     pub workers: usize,
 }
 
@@ -82,6 +82,8 @@ struct DriverTally {
 pub struct ServerBench {
     /// Configuration echo.
     pub cfg: ServerBenchConfig,
+    /// `std::thread::available_parallelism()` on the measuring host.
+    pub host_cpus: usize,
     /// Tenant names driven (the gate enforces a minimum count).
     pub tenants: Vec<String>,
     /// Wire requests completed across all drivers.
@@ -348,6 +350,7 @@ pub fn build(cfg: &ServerBenchConfig) -> ServerBench {
 
     ServerBench {
         cfg: *cfg,
+        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         tenants,
         requests,
         queries: queries_served,
@@ -376,6 +379,8 @@ pub fn to_snapshot(b: &ServerBench) -> tl_obs::Snapshot {
     snap.meta.insert("k".into(), b.cfg.k.to_string());
     snap.meta
         .insert("workers".into(), b.cfg.workers.to_string());
+    snap.meta
+        .insert("host.cpus".into(), b.host_cpus.to_string());
     snap.meta.insert("tenants".into(), b.tenants.join(","));
     snap.gauges.insert("bench.server.wall_s".into(), b.wall_s);
     snap.gauges

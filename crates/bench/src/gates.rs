@@ -979,6 +979,7 @@ mod tests {
             let requests = 1_000_000u64;
             crate::experiments::server::ServerBench {
                 cfg: server_gate_config(42),
+                host_cpus: 2,
                 tenants: vec![
                     "gold".into(),
                     "silver".into(),

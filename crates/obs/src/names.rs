@@ -67,26 +67,32 @@ pub const QUERY_LATENCY_US: &str = "engine.query.latency_us";
 pub const DECOMP_DEPTH: &str = "engine.decomposition.depth";
 
 /// Requests admitted by the server and answered through the full path
-/// (queue + worker + requested estimator).
+/// (an execution slot + the requested estimator).
 pub const SERVER_ACCEPTED: &str = "server.requests.accepted";
-/// Admitted requests that had to wait behind other work (queue depth was
-/// non-zero at enqueue time). Always ≤ `server.requests.accepted`.
+/// Admitted requests that parked in their lane because every execution
+/// slot was held. Always ≤ `server.requests.accepted`.
 pub const SERVER_QUEUED: &str = "server.requests.queued";
 /// Requests rejected by admission control (tenant queue full or shutdown
 /// draining) and answered degraded-with-provenance instead of queued.
 pub const SERVER_SHED: &str = "server.requests.shed";
 /// Client connections accepted by the listener.
 pub const SERVER_CONNECTIONS: &str = "server.connections";
-/// Server responses tagged with a non-`None` degradation (budget trips on
-/// the worker path plus admission-control sheds).
+/// Server responses tagged with a non-`None` degradation (budget trips
+/// while holding an execution slot plus admission-control sheds).
 pub const SERVER_RESP_DEGRADED: &str = "server.responses.degraded";
 /// Server responses carrying a typed fault or usage error.
 pub const SERVER_RESP_FAULT: &str = "server.responses.fault";
-/// Gauge: queue depth sampled after each enqueue/dequeue.
+/// Gauge: requests parked for an execution slot, sampled at each scrape.
 pub const SERVER_QUEUE_DEPTH: &str = "server.queue.depth";
-/// Histogram: server-side request latency (enqueue to response written),
+/// Histogram: server-side request latency (admission to response ready),
 /// microseconds. Per-tenant variants are `server.tenant.<name>.latency_us`.
 pub const SERVER_LATENCY_US: &str = "server.latency_us";
+/// Gauge: sequence number of the last WAL record, sampled at each scrape
+/// of a durable server.
+pub const SERVER_WAL_LAST_SEQ: &str = "server.wal.last_seq";
+/// Gauge: sequence number the newest snapshot covers, sampled at each
+/// scrape of a durable server.
+pub const SERVER_SNAPSHOT_SEQ: &str = "server.snapshot.seq";
 
 /// Socket-option failures (`set_nodelay`/`set_read_timeout`) on accepted
 /// connections — surfaced, never silently swallowed.
@@ -94,6 +100,9 @@ pub const SERVER_SOCKOPT_ERRORS: &str = "server.sockopt_errors";
 /// Connections closed by the server's idle deadline (`--idle-timeout-ms`):
 /// half-open or slow-loris peers shed deterministically.
 pub const SERVER_IDLE_CLOSED: &str = "server.conn.idle_closed";
+/// Accepted connections dropped because their connection thread could not
+/// be spawned.
+pub const SERVER_CONN_SPAWN_FAILED: &str = "server.conn.spawn_failed";
 
 /// The per-tenant latency histogram name for `tenant`.
 pub fn server_tenant_latency(tenant: &str) -> String {
@@ -185,6 +194,7 @@ pub const SCHEMA_COUNTERS: &[&str] = &[
     SERVER_RESP_FAULT,
     SERVER_SOCKOPT_ERRORS,
     SERVER_IDLE_CLOSED,
+    SERVER_CONN_SPAWN_FAILED,
     WAL_APPENDS,
     WAL_APPEND_BYTES,
     WAL_FSYNCS,

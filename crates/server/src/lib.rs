@@ -8,7 +8,9 @@
 //!
 //! Multi-tenancy is first-class: each tenant gets a weighted fair-queue
 //! lane with an admission cap and a [`tl_fault::Budget`] template
-//! ([`queue`], [`BudgetSpec`]). Overload is answered, not errored: a shed
+//! ([`queue`], [`BudgetSpec`]). Each request runs on the connection
+//! thread that read it, once the lanes grant it one of the server's
+//! execution slots. Overload is answered, not errored: a shed
 //! request gets the closed-form Markov estimate tagged
 //! [`tl_fault::Degradation::Markov`] with a cause fault — the same
 //! degraded-with-provenance contract as the in-process resilient ladder.
@@ -17,9 +19,9 @@
 //! byte is the shared exit-code table ([`tl_fault::exit_code`]).
 //!
 //! Observability rides the tl-metrics/1 snapshot: a `scrape` request
-//! (which bypasses the queue) returns the full recorder snapshot
-//! including the `server.*` counters, queue-depth gauge, and overall plus
-//! per-tenant latency histograms.
+//! (which bypasses the slot gate) returns the full recorder snapshot
+//! including the `server.*` counters, parked-depth gauge, and overall
+//! plus per-tenant latency histograms.
 
 pub mod client;
 pub mod protocol;

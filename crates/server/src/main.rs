@@ -11,11 +11,12 @@
 //! tl-server scrape <addr> [--tenant T]
 //! ```
 //!
-//! `serve` runs until SIGTERM/SIGINT, then drains queued work and exits
-//! 0. With `--wal-dir` every accepted update is write-ahead logged
-//! before its ack, startup replays the newest snapshot + WAL tail, and
-//! the drain publishes a final snapshot — a failed final snapshot exits
-//! 3 with the previous snapshot and WAL left intact. `--port 0` binds an
+//! `serve` runs until SIGTERM/SIGINT, then finishes running and parked
+//! requests and exits 0. With `--wal-dir` every accepted update is
+//! write-ahead logged before its ack, startup replays the newest
+//! snapshot + WAL tail, and the drain publishes a final snapshot — a
+//! failed final snapshot exits 3 with the previous snapshot and WAL left
+//! intact. `--port 0` binds an
 //! ephemeral port; `--port-file` writes the bound `host:port` for
 //! scripts (the CI smoke test uses both). Exit codes follow the shared
 //! table: usage errors are 2, faults are 3.

@@ -1,32 +1,36 @@
-//! The estimation service: listener, worker pool, and the
-//! degraded-with-provenance overload path.
+//! The estimation service: listener, connection threads, the
+//! execution-slot gate, and the degraded-with-provenance overload path.
 //!
-//! Request lifecycle:
+//! Request lifecycle, all on the connection thread that read the frame:
 //!
-//! 1. A connection thread reads one frame, decodes it, and parses the
-//!    query against the catalog's label table. Malformed bytes are a
-//!    typed fault (status 3); a bad query string is a usage error
-//!    (status 2). Neither costs a queue slot.
-//! 2. The request is admitted into its tenant's fair-queue lane. If the
+//! 1. The thread reads one frame, decodes it, and parses the query
+//!    against the catalog's label table. Malformed bytes are a typed
+//!    fault (status 3); a bad query string is a usage error (status 2).
+//!    Neither costs an execution slot.
+//! 2. The request asks its tenant's fair-queue lane for one of the
+//!    `--workers` execution slots. A free slot with no parked waiter is
+//!    taken at once; otherwise the thread parks in the lane until a
+//!    finishing request hands it a slot in weighted-fair order. If the
 //!    lane is full (or the server is draining), the request is **shed**:
-//!    the connection thread answers immediately with the closed-form
-//!    Markov estimate ([`treelattice::markov_estimate_store`]) tagged
+//!    the thread answers immediately with the closed-form Markov
+//!    estimate ([`treelattice::markov_estimate_store`]) tagged
 //!    [`Degradation::Markov`] and a cause fault naming the refusal — the
 //!    [`treelattice::ResilientEstimate`] contract, so overload is never
 //!    an untyped error and never silence.
-//! 3. A worker dequeues in weighted-fair order and runs the requested
-//!    estimator under the tenant's [`Budget`] (deadline measured from
-//!    admission, so queue wait counts against it). Budget trips degrade
-//!    down the ladder inside the engine; the response carries the rung.
+//! 3. Holding the slot, the thread runs the requested estimator under
+//!    the tenant's [`Budget`] (deadline measured from admission, so time
+//!    parked counts against it), releases the slot, and writes the
+//!    response. Budget trips degrade down the ladder inside the engine;
+//!    the response carries the rung.
 //!
-//! `scrape` bypasses the queue entirely: observability must work *best*
+//! `scrape` bypasses the gate entirely: observability must work *best*
 //! exactly when the server is overloaded.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -42,7 +46,7 @@ use treelattice::{
 };
 
 use crate::protocol::{read_frame_with, write_frame, FrameError, Request, Response, WireEstimate};
-use crate::queue::{FairQueue, Refusal, TenantConfig};
+use crate::queue::{FairQueue, Refusal, TenantConfig, Waiter};
 
 /// Per-tenant budget template; a concrete [`Budget`] (with its deadline
 /// anchored at admission time) is minted per request.
@@ -101,7 +105,8 @@ pub struct ServerConfig {
     /// Port to bind on 127.0.0.1; `0` asks the OS for an ephemeral port
     /// (read it back from [`ServerHandle::addr`] or `--port-file`).
     pub port: u16,
-    /// Worker threads; `0` means available parallelism.
+    /// Execution slots: how many requests run at once, each on its own
+    /// connection thread; `0` means available parallelism.
     pub workers: usize,
     pub tenants: Vec<TenantSpec>,
     /// Budget for tenants without an override.
@@ -213,8 +218,8 @@ impl Backend {
             }
             Backend::Mmap { catalog } => {
                 // Catalog parity with the CLI: rung 1 runs unbudgeted,
-                // but an already-expired deadline (queue wait ate it)
-                // still degrades instead of burning worker time.
+                // but an already-expired deadline (parking for a slot
+                // ate it) still degrades instead of holding the slot.
                 if let Err(cause) = budget.check_deadline() {
                     return Response::Estimate(WireEstimate {
                         value: markov_estimate_store(catalog, twig),
@@ -282,7 +287,7 @@ fn wire(est: ResilientEstimate) -> WireEstimate {
     }
 }
 
-/// Pre-parsed work a queue job carries to a worker.
+/// A request parsed and ready to run once it holds an execution slot.
 enum Work {
     Estimate {
         twig: Twig,
@@ -302,16 +307,9 @@ enum Work {
     },
 }
 
-struct Job {
-    work: Work,
-    budget: Budget,
-    admitted: Instant,
-    reply: mpsc::Sender<Response>,
-}
-
 struct Shared {
     backend: Backend,
-    queue: FairQueue<Job>,
+    gate: FairQueue<Waiter>,
     budgets: Vec<BudgetSpec>,
     /// Each lane's latency histogram name, built once at start-up and
     /// indexed by lane.
@@ -324,9 +322,9 @@ struct Shared {
 
 impl Shared {
     fn lane_for(&self, tenant: &str) -> usize {
-        self.queue
+        self.gate
             .lane_of(tenant)
-            .or_else(|| self.queue.lane_of(DEFAULT_TENANT))
+            .or_else(|| self.gate.lane_of(DEFAULT_TENANT))
             .expect("default lane always configured")
     }
 
@@ -374,8 +372,22 @@ impl Shared {
         }
     }
 
-    /// Decodes and answers one request body. Blocks until the response
-    /// is ready (workers run queued ops; sheds and scrapes are inline).
+    /// Counts a finished response as degraded or faulted, if it is.
+    fn count_outcome(&self, resp: &Response) {
+        let degraded = |e: &WireEstimate| e.degradation.is_degraded();
+        match resp {
+            Response::Error { .. } => self.rec.add(names::SERVER_RESP_FAULT, 1),
+            Response::Estimate(e) if degraded(e) => self.rec.add(names::SERVER_RESP_DEGRADED, 1),
+            Response::Batch(items) if items.iter().any(|i| i.as_ref().map_or(true, degraded)) => {
+                self.rec.add(names::SERVER_RESP_DEGRADED, 1)
+            }
+            _ => {}
+        }
+    }
+
+    /// Decodes and answers one request body on the calling connection
+    /// thread. Scrapes and sheds answer at once; everything else runs
+    /// here once the gate grants this thread an execution slot.
     fn process(&self, body: &[u8]) -> Response {
         let request = match Request::decode(body) {
             Ok(r) => r,
@@ -387,13 +399,13 @@ impl Shared {
         if let Request::Scrape { .. } = request {
             self.rec.add(names::SERVER_ACCEPTED, 1);
             self.rec
-                .gauge(names::SERVER_QUEUE_DEPTH, self.queue.depth() as f64);
+                .gauge(names::SERVER_QUEUE_DEPTH, self.gate.depth() as f64);
             if let Backend::Memory { store, .. } = &self.backend {
                 if let Store::Durable(durable) = &*store.read() {
                     self.rec
-                        .gauge("server.wal.last_seq", durable.last_seq() as f64);
+                        .gauge(names::SERVER_WAL_LAST_SEQ, durable.last_seq() as f64);
                     self.rec
-                        .gauge("server.snapshot.seq", durable.snapshot_seq() as f64);
+                        .gauge(names::SERVER_SNAPSHOT_SEQ, durable.snapshot_seq() as f64);
                 }
             }
             return Response::Scrape {
@@ -409,36 +421,24 @@ impl Shared {
             }
         };
         let budget = self.budgets[lane].to_budget();
-        let (tx, rx) = mpsc::channel();
-        let job = Job {
-            work,
-            budget,
-            admitted: Instant::now(),
-            reply: tx,
-        };
-        match self.queue.enqueue(lane, job) {
-            Ok(depth) => {
+        let admitted = Instant::now();
+        let resp = match self.gate.admit(lane) {
+            Ok(slot) => {
                 self.rec.add(names::SERVER_ACCEPTED, 1);
-                if depth > 1 {
+                if slot.waited {
                     self.rec.add(names::SERVER_QUEUED, 1);
                 }
-                self.rec.gauge(names::SERVER_QUEUE_DEPTH, depth as f64);
+                let resp = self.run_work(&work, budget);
+                drop(slot);
+                let us = admitted.elapsed().as_micros() as u64;
+                self.rec.observe(names::SERVER_LATENCY_US, us);
+                self.rec.observe(&self.tenant_latency[lane], us);
+                resp
             }
-            Err((job, refusal)) => {
-                let resp = self.shed(&job.work, refusal);
-                if matches!(resp, Response::Error { .. }) {
-                    self.rec.add(names::SERVER_RESP_FAULT, 1);
-                } else {
-                    self.rec.add(names::SERVER_RESP_DEGRADED, 1);
-                }
-                return resp;
-            }
-        }
-        match rx.recv() {
-            Ok(resp) => resp,
-            // Worker pool gone mid-request: only happens in shutdown.
-            Err(_) => Response::fault(Fault::timeout("server shut down before answering")),
-        }
+            Err(refusal) => self.shed(&work, refusal),
+        };
+        self.count_outcome(&resp);
+        resp
     }
 
     fn build_work(&self, request: Request) -> Result<Work, Response> {
@@ -498,41 +498,18 @@ impl Shared {
                 .update(twig, *true_count, *idem, self.rec.as_ref()),
         }
     }
-
-    fn worker_loop(&self) {
-        while let Some((lane, job)) = self.queue.dequeue() {
-            self.rec
-                .gauge(names::SERVER_QUEUE_DEPTH, self.queue.depth() as f64);
-            let resp = self.run_work(&job.work, job.budget);
-            let us = job.admitted.elapsed().as_micros() as u64;
-            self.rec.observe(names::SERVER_LATENCY_US, us);
-            self.rec.observe(&self.tenant_latency[lane], us);
-            match &resp {
-                Response::Error { .. } => self.rec.add(names::SERVER_RESP_FAULT, 1),
-                Response::Estimate(e) if e.degradation.is_degraded() => {
-                    self.rec.add(names::SERVER_RESP_DEGRADED, 1)
-                }
-                Response::Batch(items)
-                    if items.iter().any(|i| {
-                        matches!(i, Ok(e) if e.degradation.is_degraded()) || i.is_err()
-                    }) =>
-                {
-                    self.rec.add(names::SERVER_RESP_DEGRADED, 1)
-                }
-                _ => {}
-            }
-            // A gone receiver means the connection died; nothing to do.
-            let _ = job.reply.send(resp);
-        }
-    }
 }
+
+/// How long [`ServerHandle::shutdown`] waits for running and parked
+/// requests before the durable drain.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
 /// A running server. Dropping without [`ServerHandle::shutdown`] leaves
 /// threads running; call `shutdown` for a clean drain-and-join.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    accept: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -550,31 +527,28 @@ impl ServerHandle {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
     }
 
-    /// Stops admitting new work while continuing to serve queued requests
-    /// and scrapes — the load-balancer-removal half of a graceful
-    /// shutdown. New estimates are answered shed (degraded Markov with a
-    /// draining cause), not refused.
+    /// Stops admitting new work while continuing to serve running and
+    /// parked requests and scrapes — the load-balancer-removal half of a
+    /// graceful shutdown. New estimates are answered shed (degraded
+    /// Markov with a draining cause), not refused.
     pub fn begin_drain(&self) {
-        self.shared.queue.begin_drain();
+        self.shared.gate.begin_drain();
     }
 
-    /// Graceful shutdown: stop accepting, refuse new admissions, drain
-    /// queued work, join the listener and workers, then — on a durable
-    /// backend — flush the WAL and publish a final snapshot. An error
-    /// from the durable drain is a typed fault (the previous snapshot
-    /// and WAL are left intact on disk); the threads are already joined
-    /// either way.
-    pub fn shutdown(mut self) -> Result<(), Fault> {
+    /// Graceful shutdown: stop accepting, refuse new admissions, wait (up
+    /// to [`DRAIN_DEADLINE`]) until no execution slot is held and no
+    /// request is parked, join the listener, then — on a durable backend
+    /// — flush the WAL and publish a final snapshot. The wait comes first
+    /// so that no update admitted before the drain appends to the WAL
+    /// after the final snapshot has truncated it. An error from the
+    /// durable drain is a typed fault (the previous snapshot and WAL are
+    /// left intact on disk). Connection threads are detached and exit on
+    /// their next read-timeout poll.
+    pub fn shutdown(self) -> Result<(), Fault> {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        self.shared.queue.begin_drain();
-        let drain_deadline = Instant::now() + Duration::from_secs(10);
-        while self.shared.queue.depth() > 0 && Instant::now() < drain_deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        self.shared.queue.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.shared.gate.begin_drain();
+        self.shared.gate.wait_idle(Instant::now() + DRAIN_DEADLINE);
+        let _ = self.accept.join();
         if let Backend::Memory { store, .. } = &self.shared.backend {
             if let Store::Durable(durable) = &mut *store.write() {
                 durable.drain(self.shared.rec.as_ref())?;
@@ -584,8 +558,8 @@ impl ServerHandle {
     }
 }
 
-/// Loads the summary, binds the listener, and spawns the accept loop and
-/// worker pool. Returns once the socket is live.
+/// Loads the summary, binds the listener, and spawns the accept loop.
+/// Returns once the socket is live.
 pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
     let rec = Arc::new(MetricsRecorder::with_schema());
     rec.set_meta("server.summary", config.summary_path.display().to_string());
@@ -656,9 +630,14 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
         .iter()
         .map(|lane| names::server_tenant_latency(&lane.name))
         .collect();
+    let slots = if config.workers == 0 {
+        thread::available_parallelism().map_or(4, |n| n.get())
+    } else {
+        config.workers
+    };
     let shared = Arc::new(Shared {
         backend,
-        queue: FairQueue::new(&lanes),
+        gate: FairQueue::with_slots(&lanes, slots),
         budgets,
         tenant_latency,
         rec,
@@ -676,35 +655,18 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
         .local_addr()
         .map_err(|e| Fault::new(tl_fault::FaultKind::Timeout, format!("local_addr: {e}")))?;
 
-    let workers = if config.workers == 0 {
-        thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        config.workers
+    let accept = {
+        let shared = shared.clone();
+        thread::Builder::new()
+            .name("tl-server-accept".into())
+            .spawn(move || accept_loop(listener, shared))
+            .expect("spawn accept loop")
     };
-    let mut threads = Vec::with_capacity(workers + 1);
-    for i in 0..workers {
-        let shared = shared.clone();
-        threads.push(
-            thread::Builder::new()
-                .name(format!("tl-server-worker-{i}"))
-                .spawn(move || shared.worker_loop())
-                .expect("spawn worker"),
-        );
-    }
-    {
-        let shared = shared.clone();
-        threads.push(
-            thread::Builder::new()
-                .name("tl-server-accept".into())
-                .spawn(move || accept_loop(listener, shared))
-                .expect("spawn accept loop"),
-        );
-    }
 
     Ok(ServerHandle {
         addr,
         shared,
-        threads,
+        accept,
     })
 }
 
@@ -716,12 +678,16 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         match listener.accept() {
             Ok((stream, _)) => {
                 shared.rec.add(names::SERVER_CONNECTIONS, 1);
-                let shared = shared.clone();
+                let conn_shared = shared.clone();
                 // Connection threads are detached: they poll the
                 // shutdown flag via read timeouts and exit on their own.
-                let _ = thread::Builder::new()
+                // A failed spawn drops the closure, and the stream in it.
+                let spawned = thread::Builder::new()
                     .name("tl-server-conn".into())
-                    .spawn(move || connection_loop(stream, shared));
+                    .spawn(move || connection_loop(stream, conn_shared));
+                if spawned.is_err() {
+                    shared.rec.add(names::SERVER_CONN_SPAWN_FAILED, 1);
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(10));

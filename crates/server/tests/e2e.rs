@@ -3,6 +3,9 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 use tl_fault::{Degradation, FaultKind};
@@ -241,6 +244,68 @@ fn a_peer_stalled_mid_frame_past_the_idle_timeout_is_closed() {
     let snap = tl_obs::Snapshot::from_json(&client.scrape().unwrap()).unwrap();
     assert_eq!(snap.counters["server.conn.idle_closed"], 1);
     assert_eq!(snap.counters["server.responses.fault"], 0);
+    handle.shutdown().expect("clean drain");
+}
+
+/// One execution slot, a long batch holding it, and a client looping
+/// single estimates beside it: singles that arrive while the batch runs
+/// park, are handed the slot when it finishes, and answer exactly.
+#[test]
+fn requests_parked_for_a_slot_are_handed_it_and_answer_exactly() {
+    let lattice = Arc::new(sample_lattice());
+    let path = write_summary(&lattice, "parked.tlat");
+    let mut config = ServerConfig::new(&path);
+    config.workers = 1;
+    let handle = serve(config).unwrap();
+    let addr = handle.addr();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let singles = {
+        let (lattice, stop) = (lattice.clone(), stop.clone());
+        thread::spawn(move || {
+            let mut client = Client::connect(addr, "default").unwrap();
+            let local =
+                lattice.estimate(&lattice.parse_query("a/b/c").unwrap(), Estimator::Recursive);
+            while !stop.load(Ordering::SeqCst) {
+                let remote = client.estimate(Estimator::Recursive, "a/b/c").unwrap();
+                assert_eq!(remote.value.to_bits(), local.to_bits());
+            }
+        })
+    };
+    let batch: Vec<String> = QUERIES
+        .iter()
+        .cycle()
+        .take(4_000)
+        .map(|q| q.to_string())
+        .collect();
+    let expected: Vec<u64> = batch
+        .iter()
+        .map(|q| {
+            lattice
+                .estimate(&lattice.parse_query(q).unwrap(), Estimator::Recursive)
+                .to_bits()
+        })
+        .collect();
+    let mut client = Client::connect(addr, "default").unwrap();
+    // Each batch holds the only slot for thousands of estimates; rounds
+    // repeat until a single has been seen to park behind one.
+    let mut queued = 0;
+    for _ in 0..50 {
+        let items = client.estimate_batch(Estimator::Recursive, &batch).unwrap();
+        let bits: Vec<u64> = items
+            .iter()
+            .map(|i| i.as_ref().unwrap().value.to_bits())
+            .collect();
+        assert_eq!(bits, expected);
+        let snap = tl_obs::Snapshot::from_json(&client.scrape().unwrap()).unwrap();
+        queued = snap.counters["server.requests.queued"];
+        if queued > 0 {
+            break;
+        }
+    }
+    stop.store(true, Ordering::SeqCst);
+    singles.join().unwrap();
+    assert!(queued > 0, "no request parked for the slot");
     handle.shutdown().expect("clean drain");
 }
 
