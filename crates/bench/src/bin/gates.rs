@@ -6,12 +6,12 @@
 //! ```
 //!
 //! Runs every CI gate (or the `--only` subset, comma-separated) through
-//! the same library code path the individual `gate_*` binaries use, so
-//! `gates --only server` and `gate_server` are interchangeable. `--seed`
-//! selects a matrix slot for the gates that take one (golden, server) and
-//! is a usage error for the rest. `--thresholds` overrides the committed
-//! file and therefore requires exactly one selected gate. Exits 1 if any
-//! selected gate fails, 2 on usage.
+//! [`tl_bench::gate_runner::run_gate`]. `--write-thresholds` regenerates
+//! the selected gates' committed files (for `perf`, the baseline). `--seed`
+//! selects a matrix slot for the gates that take one (golden, recovery,
+//! server) and is a usage error for the rest. `--thresholds` overrides
+//! the committed file and therefore requires exactly one selected gate.
+//! Exits 1 if any selected gate fails, 2 on usage.
 
 use std::path::PathBuf;
 

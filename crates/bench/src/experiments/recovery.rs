@@ -20,7 +20,7 @@
 //!   byte-identical to the state before the drain.
 //!
 //! Results land in `BENCH_recovery.json` (the `tl-metrics/1` snapshot
-//! schema) and gate CI through `gate_recovery` / `gates --only recovery`.
+//! schema) and gate CI through `gates --only recovery`.
 
 use std::path::Path;
 
@@ -72,7 +72,7 @@ pub struct RecoveryBenchConfig {
 
 /// The fixed configuration `bench_recovery` and the recovery gate run
 /// with. Changing it invalidates `tests/gates/recovery.json`; regenerate
-/// with `gate_recovery --write-thresholds`.
+/// with `gates --only recovery --write-thresholds`.
 pub fn bench_config() -> RecoveryBenchConfig {
     RecoveryBenchConfig {
         scale: 1_500,

@@ -50,9 +50,11 @@ pub struct ServerBenchConfig {
 }
 
 /// The fixed full-scale configuration `bench_server` and the server gate
-/// run with: a one-million-request soak across four tenants. Changing it
-/// invalidates `tests/gates/server.json`; regenerate with
-/// `gate_server --write-thresholds`.
+/// run with: a one-million-request soak across four tenants. Its seven
+/// connections share one execution slot, so requests park for it on any
+/// host and the bit-identity check covers handed-off requests. Changing
+/// it invalidates `tests/gates/server.json`; regenerate with
+/// `gates --only server --write-thresholds`.
 pub fn bench_config() -> ServerBenchConfig {
     ServerBenchConfig {
         scale: 6_000,
@@ -60,7 +62,7 @@ pub fn bench_config() -> ServerBenchConfig {
         k: 4,
         requests: 1_000_000,
         conns_per_tenant: 2,
-        workers: 4,
+        workers: 1,
     }
 }
 
@@ -102,6 +104,9 @@ pub struct ServerBench {
     pub p99_us: f64,
     /// `server.requests.shed` from the post-soak scrape.
     pub shed: u64,
+    /// `server.requests.queued` from the post-soak scrape: requests that
+    /// parked for an execution slot and were handed one.
+    pub queued: u64,
     /// Responses carrying a `Degradation` tag (budgeted-tenant traffic
     /// plus any overload sheds).
     pub degraded: u64,
@@ -316,14 +321,15 @@ pub fn build(cfg: &ServerBenchConfig) -> ServerBench {
         .collect();
     let wall_s = t0.elapsed().as_secs_f64();
 
-    let shed = {
+    let (shed, queued) = {
         let mut client = Client::connect(&addr, "gold").expect("scrape connection");
         let snap = tl_obs::Snapshot::from_json(&client.scrape().expect("scrape"))
             .expect("scrape is a tl-metrics/1 snapshot");
-        snap.counters
-            .get(tl_obs::names::SERVER_SHED)
-            .copied()
-            .unwrap_or(0)
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        (
+            counter(tl_obs::names::SERVER_SHED),
+            counter(tl_obs::names::SERVER_QUEUED),
+        )
     };
     handle.shutdown().expect("server drain");
     std::fs::remove_dir_all(&dir).ok();
@@ -360,6 +366,7 @@ pub fn build(cfg: &ServerBenchConfig) -> ServerBench {
         p95_us: percentile(&latency_us, 0.95),
         p99_us: percentile(&latency_us, 0.99),
         shed,
+        queued,
         degraded,
         faults,
         untyped_errors,
@@ -397,6 +404,7 @@ pub fn to_snapshot(b: &ServerBench) -> tl_obs::Snapshot {
     snap.counters
         .insert("bench.server.tenant_count".into(), b.tenants.len() as u64);
     snap.counters.insert("bench.server.shed".into(), b.shed);
+    snap.counters.insert("bench.server.queued".into(), b.queued);
     snap.counters
         .insert("bench.server.degraded".into(), b.degraded);
     snap.counters.insert("bench.server.faults".into(), b.faults);
@@ -429,6 +437,7 @@ pub fn run(cfg: &ServerBenchConfig) -> ServerBench {
             "p95",
             "p99",
             "Shed",
+            "Queued",
         ],
     );
     t.row(vec![
@@ -439,6 +448,7 @@ pub fn run(cfg: &ServerBenchConfig) -> ServerBench {
         format!("{:.0}us", b.p95_us),
         format!("{:.0}us", b.p99_us),
         format!("{:.4}", b.shed_rate),
+        b.queued.to_string(),
     ]);
     t.print();
     println!(

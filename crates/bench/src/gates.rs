@@ -26,10 +26,10 @@
 //!   sharded build clears `gate.corpus.min_parallel_speedup`.
 //! * **Server** ([`check_server`]): drives the closed-loop
 //!   million-request mixed-tenant soak (`experiments::server`) and fails
-//!   unless it clears the committed contract — soak size and tenant
-//!   floors, `gate.server.max_p99_us` / `gate.server.max_shed_rate`
-//!   ceilings, bit-identity of every exact response against the
-//!   in-process engine, and zero untyped errors.
+//!   unless it clears the committed contract — soak size, tenant and
+//!   parked-request floors, `gate.server.max_p99_us` /
+//!   `gate.server.max_shed_rate` ceilings, bit-identity of every exact
+//!   response against the in-process engine, and zero untyped errors.
 //! * **Recovery** ([`check_recovery`]): sweeps the injected-crash matrix
 //!   (`experiments::recovery`) — every durability fail-point site under
 //!   every rule — and fails unless each crash point recovers bit-identical
@@ -37,9 +37,8 @@
 //!   corruption surfaces as a typed fault, a torn tail seals cleanly, and
 //!   a drain round-trips the state byte-for-byte.
 //!
-//! Every gate runs through the one shared runner in [`crate::gate_runner`]
-//! — the `gates` umbrella binary and the per-gate `gate_*` wrappers are
-//! the same code path.
+//! Every gate runs through the one shared runner in [`crate::gate_runner`],
+//! which the `gates` binary calls.
 //!
 //! Every quantity the gates measure is seeded and single-threaded, so the
 //! committed thresholds can be tight: reruns of the same build produce the
@@ -88,6 +87,10 @@ pub const MAX_SHED_RATE: &str = "gate.server.max_shed_rate";
 pub const MIN_REQUESTS: &str = "gate.server.min_requests";
 /// Threshold gauge name for the soak's minimum driven tenant count.
 pub const MIN_TENANTS: &str = "gate.server.min_tenants";
+/// Threshold gauge name for the soak's minimum count of requests that
+/// parked for an execution slot, so the bit-identity check provably
+/// covers handed-off requests.
+pub const MIN_QUEUED: &str = "gate.server.min_queued";
 /// Threshold gauge marking the server-vs-engine bit-identity check as
 /// required (`1.0`), fail-closed like [`REQUIRE_MERGE_IDENTITY`].
 pub const REQUIRE_SERVER_IDENTITY: &str = "gate.server.require_bit_identity";
@@ -111,7 +114,7 @@ pub const REQUIRE_DRAIN_ROUND_TRIP: &str = "gate.recovery.require_drain_round_tr
 
 /// The fixed configuration the accuracy gate runs with. Changing it
 /// invalidates `tests/gates/accuracy.json`; regenerate with
-/// `gate_accuracy --write-thresholds`.
+/// `gates --only accuracy --write-thresholds`.
 pub fn accuracy_config() -> ExpConfig {
     ExpConfig {
         scale: 8_000,
@@ -332,7 +335,7 @@ pub fn check_perf(measured_ms: f64, baseline: &Snapshot, factor: f64) -> GateRep
 /// The reduced configuration the decompose gate runs with: small enough
 /// for CI, large enough that the workloads exercise multi-level
 /// decomposition. Changing it invalidates `tests/gates/decompose.json`;
-/// regenerate with `gate_decompose --write-thresholds`.
+/// regenerate with `gates --only decompose --write-thresholds`.
 pub fn decompose_config() -> ExpConfig {
     ExpConfig {
         scale: 2_000,
@@ -444,7 +447,7 @@ pub fn check_decompose(b: &decompose::DecomposeBench, thresholds: &Snapshot) -> 
 /// The reduced corpus the corpus gate mines: small enough for CI seconds,
 /// sharded enough to exercise the tree-reduction merge. Changing it
 /// invalidates `tests/gates/corpus.json`; regenerate with
-/// `gate_corpus --write-thresholds`.
+/// `gates --only corpus --write-thresholds`.
 pub fn corpus_gate_config() -> corpus::CorpusBenchConfig {
     corpus::CorpusBenchConfig {
         docs: 8,
@@ -541,7 +544,7 @@ pub fn check_corpus(b: &corpus::CorpusBench, thresholds: &Snapshot) -> GateRepor
 /// The configuration the server gate soaks with: the full one-million
 /// request mixed-tenant load at a CI-matrix seed. Changing anything but
 /// the seed invalidates `tests/gates/server.json`; regenerate with
-/// `gate_server --write-thresholds`.
+/// `gates --only server --write-thresholds`.
 pub fn server_gate_config(seed: u64) -> server::ServerBenchConfig {
     server::ServerBenchConfig {
         seed,
@@ -551,12 +554,13 @@ pub fn server_gate_config(seed: u64) -> server::ServerBenchConfig {
 
 /// Renders server-gate thresholds. Like the corpus gate, most of these
 /// are fixed contract values rather than measured fractions: the soak
-/// size and tenant floor restate the gate's definition, the identity and
-/// typed-error requirements are carried as `1.0` gauges so an empty
-/// thresholds file fails closed, and only the latency/shed ceilings are
-/// judgement calls — generous enough for throttled shared runners, tight
-/// enough that a pathological server (lock convoy, queue leak, busy
-/// retry loop) cannot pass.
+/// size, tenant and parked-request floors restate the gate's definition
+/// (one parked request proves the handoff path was exercised), the
+/// identity and typed-error requirements are carried as `1.0` gauges so
+/// an empty thresholds file fails closed, and only the latency/shed
+/// ceilings are judgement calls — generous enough for throttled shared
+/// runners, tight enough that a pathological server (lock convoy, queue
+/// leak, busy retry loop) cannot pass.
 pub fn server_thresholds(cfg: &server::ServerBenchConfig) -> Snapshot {
     let mut snap = Snapshot::default();
     snap.meta.insert("gate".into(), "server".into());
@@ -568,6 +572,7 @@ pub fn server_thresholds(cfg: &server::ServerBenchConfig) -> Snapshot {
     snap.gauges.insert(MAX_SHED_RATE.into(), 0.25);
     snap.gauges.insert(MIN_REQUESTS.into(), cfg.requests as f64);
     snap.gauges.insert(MIN_TENANTS.into(), 3.0);
+    snap.gauges.insert(MIN_QUEUED.into(), 1.0);
     snap.gauges.insert(REQUIRE_SERVER_IDENTITY.into(), 1.0);
     snap.gauges.insert(REQUIRE_ZERO_UNTYPED.into(), 1.0);
     snap
@@ -597,6 +602,16 @@ pub fn check_server(b: &server::ServerBench, thresholds: &Snapshot) -> GateRepor
             ),
         ),
         None => report.check(false, format!("thresholds missing gauge `{MIN_TENANTS}`")),
+    }
+    match thresholds.gauges.get(MIN_QUEUED) {
+        Some(&min) => report.check(
+            b.queued as f64 >= min,
+            format!(
+                "handoff: {} requests parked for a slot (min {min:.0})",
+                b.queued
+            ),
+        ),
+        None => report.check(false, format!("thresholds missing gauge `{MIN_QUEUED}`")),
     }
     match thresholds.gauges.get(MAX_P99_US) {
         Some(&max) => report.check(
@@ -654,7 +669,7 @@ pub fn check_server(b: &server::ServerBench, thresholds: &Snapshot) -> GateRepor
 /// matrix at a CI-matrix seed (the seed varies the workload, the
 /// fail-point coin, and the crash timing — the contract does not).
 /// Changing anything but the seed invalidates `tests/gates/recovery.json`;
-/// regenerate with `gate_recovery --write-thresholds`.
+/// regenerate with `gates --only recovery --write-thresholds`.
 pub fn recovery_gate_config(seed: u64) -> recovery::RecoveryBenchConfig {
     recovery::RecoveryBenchConfig {
         seed,
@@ -994,6 +1009,7 @@ mod tests {
                 p95_us: 500.0,
                 p99_us: p99,
                 shed,
+                queued: 5_000,
                 degraded: 10_000,
                 faults: 0,
                 untyped_errors: untyped,
@@ -1019,6 +1035,10 @@ mod tests {
         let mut narrow = bench(2_000.0, 100, 0, 0);
         narrow.tenants.truncate(2);
         assert!(!check_server(&narrow, &thresholds).passed());
+        // ...a soak where no request parked for a slot fails...
+        let mut unqueued = bench(2_000.0, 100, 0, 0);
+        unqueued.queued = 0;
+        assert!(!check_server(&unqueued, &thresholds).passed());
         // ...and an empty thresholds file fails closed.
         let report = check_server(&good, &Snapshot::default());
         assert!(!report.passed());

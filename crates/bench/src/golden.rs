@@ -8,7 +8,7 @@
 //! workload truth re-verified against the independent `tl-oracle` counter
 //! before it is trusted — a drifting kernel can therefore never silently
 //! re-baseline the gate. Regenerate with
-//! `cargo run --release -p tl-bench --bin gate_golden -- --write-thresholds`
+//! `cargo run --release -p tl-bench --bin gates -- --only golden --write-thresholds`
 //! after an intentional accuracy change, and justify the diff in review.
 
 use std::collections::BTreeMap;

@@ -162,7 +162,8 @@ recovered state as a plain summary; `summary snapshot` additionally
 publishes an atomic snapshot there and truncates the WAL.
 `estimate --mmap` serves
 pattern lookups zero-copy from the on-disk frame through a
-checksum-validated memory map instead of loading the summary.
+checksum-validated memory map instead of loading the summary; budgets
+degrade there exactly as in memory.
 Exit codes: 0 = success or degraded, 2 = usage error, 3 = fault.
 Catalog-open faults exit 3 like any other fault: a missing file, a
 truncated frame, or a checksum mismatch (CorruptSummary) — whether from
@@ -786,22 +787,26 @@ fn cmd_estimate(
         return Err(CliError::usage("--k must be at least 2"));
     }
 
+    let opts = EstimateOptions {
+        budget,
+        ..EstimateOptions::default()
+    };
+
     // Zero-copy mode: validate the frame once, then serve every pattern
     // lookup straight from the mapped bytes — nothing is deserialized.
     if use_mmap {
         if summary_path.ends_with(".xml") {
             return Err(CliError::usage("--mmap needs a stored <summary.tlat>"));
         }
-        if budgeted {
-            return Err(CliError::usage(
-                "--mmap does not combine with --budget-* (the degradation ladder is in-memory only)",
-            ));
-        }
         let catalog = MmapCatalog::open_observed(Path::new(&summary_path), obs.rec())
             .map_err(|e| CliError::fault(format!("{summary_path}: {e}")))?;
         let twig = parse_query_in(catalog.labels(), &query, values)?;
-        let opts = EstimateOptions::default();
-        let est = if engine_cache {
+        let est = if budgeted {
+            let resilient =
+                treelattice::estimate_resilient_catalog(&catalog, &twig, estimator, &opts);
+            note_degraded(err, "estimate", &resilient);
+            resilient.value
+        } else if engine_cache {
             let engine = EstimationEngine::with_recorder(
                 EngineConfig {
                     threads,
@@ -841,10 +846,6 @@ fn cmd_estimate(
     };
 
     let twig = parse_query_for(&lattice, &query, values)?;
-    let opts = EstimateOptions {
-        budget,
-        ..EstimateOptions::default()
-    };
     let est = if engine_cache {
         let engine = EstimationEngine::with_recorder(
             EngineConfig {
@@ -2340,6 +2341,50 @@ mod tests {
         assert!(report.contains("catalog.mmap.opens"), "{report}");
         assert!(report.contains("catalog.mmap.lookups"), "{report}");
 
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn budgeted_estimate_mmap_degrades_like_in_memory() {
+        let _fp = failpoints::shared();
+        let dir = tempdir();
+        let xml = dir.join("mb.xml");
+        let tlat = dir.join("mb.tlat");
+        call(&[
+            "gen",
+            "xmark",
+            "-o",
+            xml.to_str().unwrap(),
+            "--scale",
+            "2000",
+            "--seed",
+            "7",
+        ])
+        .unwrap();
+        call(&[
+            "build",
+            xml.to_str().unwrap(),
+            "-o",
+            tlat.to_str().unwrap(),
+            "--k",
+            "3",
+        ])
+        .unwrap();
+        let path = tlat.to_str().unwrap();
+        for query in ["item/mailbox/mail", "item[name][mailbox/mail]"] {
+            let (memory, memory_out, memory_note) =
+                call_chaos(&["estimate", path, query, "--budget-ms", "0"]);
+            memory.unwrap();
+            let (mapped, mapped_out, mapped_note) =
+                call_chaos(&["estimate", path, query, "--mmap", "--budget-ms", "0"]);
+            mapped.unwrap();
+            assert!(
+                mapped_note.contains("degraded to markov-fallback"),
+                "{mapped_note}"
+            );
+            assert_eq!(mapped_note, memory_note, "{query}");
+            assert_eq!(mapped_out, memory_out, "{query}");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -1,11 +1,12 @@
-//! The iterative decomposition-DAG evaluator — the allocation-free,
-//! id-addressed replacement for the recursive estimator's hot path.
+//! The iterative decomposition-DAG evaluator: the one estimation kernel
+//! behind every estimate, plain, batched, catalog-backed or resilient.
 //!
 //! The recursive scheme (Figure 4) re-derives the same sub-twigs constantly:
 //! the three operands of neighboring removable pairs overlap in all but one
 //! or two nodes, so one voting step over `p` pairs references `3p` operands
-//! of which typically far fewer are distinct. The recursive implementation
-//! hides that sharing inside a byte-keyed memo probed with freshly encoded,
+//! of which typically far fewer are distinct. The recursive formulation
+//! (kept only as the differential baseline in [`crate::reference`]) hides
+//! that sharing inside a byte-keyed memo probed with freshly encoded,
 //! freshly boxed keys. This module makes the sharing explicit:
 //!
 //! 1. every sub-twig is interned to a dense [`TwigId`] once (the
@@ -20,13 +21,23 @@
 //!    unique node is evaluated exactly once, its value stored back to the
 //!    shared cache so later queries in the batch resolve it on sight.
 //!
-//! The arithmetic per node replicates the recursive `decompose` loop
+//! The arithmetic per node replicates the recursion's `decompose` loop
 //! verbatim (same pair enumeration order, same `<= 0` short-circuit
 //! structure, same summation order), so results are bit-identical to the
-//! recursive path; the only observable difference is *eagerness* — operands
-//! the recursion skipped past a zero factor still get evaluated and cached,
-//! which can only add cache entries, never change a value (every sub-twig's
-//! estimate is a pure function of the summary and the voting class).
+//! reference recursion; the only observable difference is *eagerness* —
+//! operands the recursion skipped past a zero factor still get evaluated
+//! and cached, which can only add cache entries, never change a value
+//! (every sub-twig's estimate is a pure function of the summary and the
+//! voting class).
+//!
+//! Given a [`Budget`] (the degradation ladder in [`crate::resilient`]),
+//! the evaluator checks the deadline before every root probe — each
+//! fix-sized window included — and before it expands or evaluates each
+//! node, and charges key bytes + 32 against the memory cap for every node
+//! it resolves other than from the cache. A trip abandons the evaluation:
+//! the cache keeps only values that were finished before it, and the
+//! thread's scratch is reset on its next use. Without a budget nothing is
+//! checked.
 //!
 //! Two cold-path economies keep single-query latency below the reference
 //! engine's (the `gate.decompose.min_cold_speedup` floor): the arena
@@ -40,6 +51,7 @@
 //! against the in-memory summary, the eager file catalog, or the zero-copy
 //! mmap catalog (see [`crate::catalog`]).
 
+use tl_fault::{Budget, Fault};
 use tl_twig::canonical::{decode_bytes_into, key_of, KeyEncoder};
 use tl_twig::ops::{decompose_pair_into, fixed_cover_with, removable_pairs_into, CoverStrategy};
 use tl_twig::{Twig, TwigId, TwigInterner, TwigNodeId};
@@ -50,9 +62,8 @@ use crate::estimator::{EstimateOptions, Estimator};
 use crate::summary::Lookup;
 
 /// Where interned ids and resolved sub-twig estimates live during DAG
-/// evaluation. The id-keyed sibling of the byte-keyed `SubtwigCache`: the
-/// per-query implementation is [`LocalIdCache`]; the engine substitutes its
-/// sharded cross-query cache.
+/// evaluation: the per-query implementation is [`LocalIdCache`]; the
+/// engine substitutes its sharded cross-query cache.
 pub(crate) trait IdCache {
     /// Interns a canonical encoding, returning its dense id.
     fn intern(&mut self, bytes: &[u8]) -> TwigId;
@@ -99,6 +110,42 @@ impl IdCache for LocalIdCache {
 pub(crate) struct DagStats {
     pub nodes: u64,
     pub refs: u64,
+}
+
+/// The budget one estimation enforces, and the memory charged against it
+/// so far. Without a budget every check passes without looking.
+#[derive(Clone, Copy)]
+struct Meter {
+    budget: Option<Budget>,
+    charged: u64,
+}
+
+impl Meter {
+    fn new(budget: Option<&Budget>) -> Self {
+        Self {
+            budget: budget.copied(),
+            charged: 0,
+        }
+    }
+
+    fn check_deadline(&self) -> Result<(), Fault> {
+        match &self.budget {
+            Some(budget) => budget.check_deadline(),
+            None => Ok(()),
+        }
+    }
+
+    /// Charges one node resolved other than from the cache: its canonical
+    /// key bytes plus 32 bytes of cache-entry overhead.
+    fn charge(&mut self, key_bytes: usize) -> Result<(), Fault> {
+        match &self.budget {
+            Some(budget) => {
+                self.charged += key_bytes as u64 + 32;
+                budget.check_mem(self.charged)
+            }
+            None => Ok(()),
+        }
+    }
 }
 
 enum State {
@@ -148,9 +195,8 @@ pub(crate) struct DagScratch {
 impl DagScratch {
     /// Clears per-evaluation state; pools and capacities survive.
     fn reset(&mut self) {
-        // Pending build twigs would leak out of the pool otherwise (a
-        // previous evaluation can only leave these empty, but reset must
-        // hold unconditionally).
+        // An evaluation abandoned on a budget trip leaves its unexpanded
+        // twigs here; return them to the pool.
         for (_, _, twig) in self.build_stack.drain(..) {
             self.twig_pool.push(twig);
         }
@@ -182,6 +228,7 @@ pub(crate) struct DagEvaluator<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized>
     cache: &'c mut C,
     voting: bool,
     cap: usize,
+    meter: Meter,
     scratch: &'a mut DagScratch,
     /// Deepest expansion reached — mirrors the recursion's depth counter:
     /// the root of each `eval_twig` expands at depth 1, its operands at 2, …
@@ -190,11 +237,12 @@ pub(crate) struct DagEvaluator<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized>
 }
 
 impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, C, S> {
-    pub(crate) fn new(
+    fn new(
         store: &'s S,
         cache: &'c mut C,
         voting: bool,
         cap: usize,
+        meter: Meter,
         scratch: &'a mut DagScratch,
     ) -> Self {
         scratch.reset();
@@ -203,57 +251,56 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             cache,
             voting,
             cap,
+            meter,
             scratch,
             max_depth: 0,
             refs: 0,
         }
     }
 
-    pub(crate) fn stats(&self) -> DagStats {
+    fn stats(&self) -> DagStats {
         DagStats {
             nodes: self.scratch.nodes.len() as u64,
             refs: self.refs,
         }
     }
 
-    pub(crate) fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
     /// Evaluates one twig: interns it, expands everything reachable, runs
     /// one bottom-up pass, returns the root's estimate. Callable repeatedly
     /// on the same evaluator — fix-sized windows share the node table.
-    pub(crate) fn eval_twig(&mut self, twig: &Twig) -> f64 {
+    fn eval_twig(&mut self, twig: &Twig) -> Result<f64, Fault> {
+        self.meter.check_deadline()?;
         let mut buf = self.scratch.byte_pool.pop().unwrap_or_default();
         self.scratch.encoder.encode_into(twig, &mut buf);
         let root = self.ensure(&buf, 1);
         self.scratch.byte_pool.push(buf);
-        self.build();
-        self.evaluate();
-        self.resolved(root)
+        let root = root?;
+        self.build()?;
+        self.evaluate()?;
+        Ok(self.resolved(root))
     }
 
     /// [`eval_twig`](Self::eval_twig) for a root whose canonical `bytes`
     /// were already encoded, interned to `id`, and looked up (missing) by
     /// the caller's fast-path probe — the cache must see exactly one probe
     /// per root either way.
-    fn eval_probed_root(&mut self, bytes: &[u8], id: TwigId) -> f64 {
+    fn eval_probed_root(&mut self, bytes: &[u8], id: TwigId) -> Result<f64, Fault> {
         self.refs += 1;
-        let root = self.admit(bytes, 1, id, None);
-        self.build();
-        self.evaluate();
-        self.resolved(root)
+        let root = self.admit(bytes, 1, id, None)?;
+        self.build()?;
+        self.evaluate()?;
+        Ok(self.resolved(root))
     }
 
     /// Interns `bytes` and returns its node index, creating the node if this
     /// is its first reference: resolved straight from the cache or store
     /// where possible, queued for expansion otherwise. `depth` is the
     /// expansion depth the node gets *if* it needs decomposing.
-    fn ensure(&mut self, bytes: &[u8], depth: usize) -> u32 {
+    fn ensure(&mut self, bytes: &[u8], depth: usize) -> Result<u32, Fault> {
         self.refs += 1;
         let id = self.cache.intern(bytes);
         if let Some(&ix) = self.scratch.index.get(&id) {
-            return ix;
+            return Ok(ix);
         }
         let cached = self.cache.lookup(id);
         self.admit(bytes, depth, id, cached)
@@ -261,7 +308,13 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
 
     /// Materializes the node for a first-referenced id, given the result of
     /// its (already counted) cache lookup.
-    fn admit(&mut self, bytes: &[u8], depth: usize, id: TwigId, cached: Option<f64>) -> u32 {
+    fn admit(
+        &mut self,
+        bytes: &[u8],
+        depth: usize,
+        id: TwigId,
+        cached: Option<f64>,
+    ) -> Result<u32, Fault> {
         let ix = u32::try_from(self.scratch.nodes.len()).expect("DAG node arena overflow");
         let size = (bytes.len() / 6) as u32;
         let state = if let Some(v) = cached {
@@ -270,6 +323,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             match self.store.lookup_bytes(bytes) {
                 Lookup::Exact(c) => {
                     let v = c as f64;
+                    self.meter.charge(bytes.len())?;
                     self.cache.store(id, v);
                     State::Resolved(v)
                 }
@@ -277,6 +331,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
                     if size <= 2 {
                         // Levels 1–2 are never pruned; reaching here means
                         // the store genuinely lacks the pattern.
+                        self.meter.charge(bytes.len())?;
                         self.cache.store(id, 0.0);
                         State::Resolved(0.0)
                     } else {
@@ -299,20 +354,22 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         };
         self.scratch.nodes.push(DagNode { id, size, state });
         self.scratch.index.insert(id, ix);
-        ix
+        Ok(ix)
     }
 
     /// Drains the expansion worklist depth-first.
-    fn build(&mut self) {
+    fn build(&mut self) -> Result<(), Fault> {
         while let Some((ix, depth, twig)) = self.scratch.build_stack.pop() {
+            self.meter.check_deadline()?;
             self.max_depth = self.max_depth.max(depth);
-            self.expand(ix, depth, &twig);
+            self.expand(ix, depth, &twig)?;
             self.scratch.twig_pool.push(twig);
         }
+        Ok(())
     }
 
     /// Materializes one node's removable-pair operands into the arenas.
-    fn expand(&mut self, ix: u32, depth: usize, twig: &Twig) {
+    fn expand(&mut self, ix: u32, depth: usize, twig: &Twig) -> Result<(), Fault> {
         let mut rm_nodes = std::mem::take(&mut self.scratch.rm_nodes);
         let mut rm_pairs = std::mem::take(&mut self.scratch.rm_pairs);
         removable_pairs_into(twig, &mut rm_nodes, &mut rm_pairs);
@@ -325,9 +382,9 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         let mut t12 = self.pooled_twig();
         for &(u, v) in rm_pairs.iter().take(n) {
             decompose_pair_into(twig, u, v, &mut t1, &mut t2, &mut t12);
-            let a = self.ensure_twig(&t1, depth + 1);
-            let b = self.ensure_twig(&t2, depth + 1);
-            let c = self.ensure_twig(&t12, depth + 1);
+            let a = self.ensure_twig(&t1, depth + 1)?;
+            let b = self.ensure_twig(&t2, depth + 1)?;
+            let c = self.ensure_twig(&t12, depth + 1)?;
             self.scratch.pairs.push([a, b, c]);
         }
         self.scratch.twig_pool.push(t1);
@@ -339,6 +396,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             first_pair,
             n_pairs: n as u32,
         };
+        Ok(())
     }
 
     fn pooled_twig(&mut self) -> Twig {
@@ -348,7 +406,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             .unwrap_or_else(|| Twig::single(LabelId(0)))
     }
 
-    fn ensure_twig(&mut self, twig: &Twig, depth: usize) -> u32 {
+    fn ensure_twig(&mut self, twig: &Twig, depth: usize) -> Result<u32, Fault> {
         let mut buf = self.scratch.byte_pool.pop().unwrap_or_default();
         self.scratch.encoder.encode_into(twig, &mut buf);
         let ix = self.ensure(&buf, depth);
@@ -360,10 +418,10 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     /// Every operand of a pending node is strictly smaller, so by the time a
     /// node is reached all its operands are resolved — either earlier this
     /// round or in a previous one. Each node's value replicates the
-    /// recursive `decompose` average over its taken pairs exactly.
-    fn evaluate(&mut self) {
+    /// recursion's `decompose` average over its taken pairs exactly.
+    fn evaluate(&mut self) -> Result<(), Fault> {
         if self.scratch.pending.is_empty() {
-            return;
+            return Ok(());
         }
         std::mem::swap(&mut self.scratch.pending, &mut self.scratch.order);
         self.scratch.pending.clear();
@@ -375,6 +433,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             self.scratch.order = order;
         }
         for i in 0..self.scratch.order.len() {
+            self.meter.check_deadline()?;
             let ix = self.scratch.order[i];
             let (first, n) = match self.scratch.nodes[ix as usize].state {
                 State::Pending {
@@ -404,10 +463,13 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
                 cnt += 1;
             }
             let value = if cnt == 0 { 0.0 } else { sum / cnt as f64 };
-            self.scratch.nodes[ix as usize].state = State::Resolved(value);
-            self.cache.store(self.scratch.nodes[ix as usize].id, value);
+            let node = &mut self.scratch.nodes[ix as usize];
+            self.meter.charge(node.size as usize * 6)?;
+            node.state = State::Resolved(value);
+            self.cache.store(node.id, value);
         }
         self.scratch.order.clear();
+        Ok(())
     }
 
     fn resolved(&self, ix: u32) -> f64 {
@@ -426,10 +488,7 @@ thread_local! {
         std::cell::RefCell::new((KeyEncoder::new(), Vec::new()));
 }
 
-/// The DAG-backed equivalent of the recursive
-/// `estimate_with_cache_depth`: same estimator dispatch, same
-/// canonicalize-first handling for the fix-sized covers, bit-identical
-/// values. Generic over the pattern-store backend. Returns
+/// Estimates `twig` on the DAG with no budget: infallible. Returns
 /// `(estimate, max expansion depth, dag statistics)`.
 pub(crate) fn estimate_dag<C: IdCache, S: PatternStore + ?Sized>(
     store: &S,
@@ -438,24 +497,42 @@ pub(crate) fn estimate_dag<C: IdCache, S: PatternStore + ?Sized>(
     opts: &EstimateOptions,
     cache: &mut C,
 ) -> (f64, usize, DagStats) {
+    estimate_dag_within(store, twig, estimator, opts, None, cache)
+        .expect("unbudgeted estimation cannot fault")
+}
+
+/// Estimates `twig` on the DAG, enforcing `budget` when one is given (see
+/// the module docs for where it is checked). Dispatches on the estimator
+/// and canonicalizes the fix-sized covers first, so isomorphic queries get
+/// identical covers. Generic over the pattern-store backend.
+pub(crate) fn estimate_dag_within<C: IdCache, S: PatternStore + ?Sized>(
+    store: &S,
+    twig: &Twig,
+    estimator: Estimator,
+    opts: &EstimateOptions,
+    budget: Option<&Budget>,
+    cache: &mut C,
+) -> Result<(f64, usize, DagStats), Fault> {
     let voting = matches!(estimator, Estimator::RecursiveVoting);
     let cap = match estimator {
         Estimator::RecursiveVoting => opts.voting_cap.max(1),
         _ => 1,
     };
+    let mut meter = Meter::new(budget);
     let k = store.max_size();
     match estimator {
         Estimator::Recursive | Estimator::RecursiveVoting => PROBE_SCRATCH.with(|s| {
             // Probe the root before building anything: on a warm cache the
             // whole query resolves to one intern and one lookup, with no
             // arena, no expansion, and no allocation.
+            meter.check_deadline()?;
             let (enc, buf) = &mut *s.borrow_mut();
             enc.encode_into(twig, buf);
             let id = cache.intern(buf);
             if let Some(v) = cache.lookup(id) {
                 // One reference, no node materialized: warm repeats raise
                 // the cross-query dedup ratio instead of diluting it.
-                return (v, 0, DagStats { nodes: 0, refs: 1 });
+                return Ok((v, 0, DagStats { nodes: 0, refs: 1 }));
             }
             // Cold direct probe, mirroring `admit`'s resolution rules:
             // roots the store can answer (within-k exact counts, trivially
@@ -463,57 +540,74 @@ pub(crate) fn estimate_dag<C: IdCache, S: PatternStore + ?Sized>(
             match store.lookup_bytes(buf) {
                 Lookup::Exact(c) => {
                     let v = c as f64;
+                    meter.charge(buf.len())?;
                     cache.store(id, v);
-                    return (v, 0, DagStats { nodes: 0, refs: 1 });
+                    return Ok((v, 0, DagStats { nodes: 0, refs: 1 }));
                 }
                 Lookup::Derivable | Lookup::TooLarge if buf.len() / 6 <= 2 => {
+                    meter.charge(buf.len())?;
                     cache.store(id, 0.0);
-                    return (0.0, 0, DagStats { nodes: 0, refs: 1 });
+                    return Ok((0.0, 0, DagStats { nodes: 0, refs: 1 }));
                 }
                 Lookup::Derivable | Lookup::TooLarge => {}
             }
             with_dag_scratch(|scratch| {
-                let mut ev = DagEvaluator::new(store, cache, voting, cap, scratch);
-                let value = ev.eval_probed_root(buf, id);
-                (value, ev.max_depth(), ev.stats())
+                let mut ev = DagEvaluator::new(store, cache, voting, cap, meter, scratch);
+                let value = ev.eval_probed_root(buf, id)?;
+                Ok((value, ev.max_depth, ev.stats()))
             })
         }),
-        // Canonicalize first so the pre-order cover (and hence the result)
-        // is identical for isomorphic queries.
-        Estimator::FixSized => with_dag_scratch(|scratch| {
-            let mut ev = DagEvaluator::new(store, cache, voting, cap, scratch);
-            let value = eval_fixed(
-                &mut ev,
-                &key_of(twig).decode(),
-                CoverStrategy::AncestorsFirst,
-                k,
-            );
-            (value, ev.max_depth(), ev.stats())
-        }),
+        Estimator::FixSized => estimate_fixed_dag(store, twig, k, budget, cache),
         Estimator::FixSizedVoting => with_dag_scratch(|scratch| {
-            let mut ev = DagEvaluator::new(store, cache, voting, cap, scratch);
+            let mut ev = DagEvaluator::new(store, cache, voting, cap, meter, scratch);
             let canonical = key_of(twig).decode();
             let strategies = [CoverStrategy::AncestorsFirst, CoverStrategy::ChildrenFirst];
             let mut sum = 0.0f64;
             for &st in &strategies {
-                sum += eval_fixed(&mut ev, &canonical, st, k);
+                sum += eval_fixed(&mut ev, &canonical, st, k)?;
             }
             let value = sum / strategies.len() as f64;
-            (value, ev.max_depth(), ev.stats())
+            Ok((value, ev.max_depth, ev.stats()))
         }),
     }
 }
 
-/// The fix-sized telescoping product (Lemma 3) over DAG-evaluated windows.
-/// Windows are evaluated lazily in cover order with the same early-zero
-/// return as the recursive variant, so both the value and the set of
-/// evaluated windows match it exactly.
+/// Fix-sized estimation (Lemma 3) over windows of `k` nodes: the store's
+/// order for [`Estimator::FixSized`], or fewer for the `ReducedK` rung of
+/// the degradation ladder and [`crate::estimate_fixed_at`]. Windows and
+/// overlaps at sizes `<= k` still resolve exactly from the store; only
+/// the covering is coarser. Returns what [`estimate_dag_within`] returns.
+pub(crate) fn estimate_fixed_dag<C: IdCache, S: PatternStore + ?Sized>(
+    store: &S,
+    twig: &Twig,
+    k: usize,
+    budget: Option<&Budget>,
+    cache: &mut C,
+) -> Result<(f64, usize, DagStats), Fault> {
+    with_dag_scratch(|scratch| {
+        let mut ev = DagEvaluator::new(store, cache, false, 1, Meter::new(budget), scratch);
+        // Canonicalize first so the pre-order cover (and hence the result)
+        // is identical for isomorphic queries.
+        let value = eval_fixed(
+            &mut ev,
+            &key_of(twig).decode(),
+            CoverStrategy::AncestorsFirst,
+            k,
+        )?;
+        Ok((value, ev.max_depth, ev.stats()))
+    })
+}
+
+/// The fix-sized telescoping product (Lemma 3) over DAG-evaluated windows
+/// of `k` nodes. Windows are evaluated lazily in cover order with the same
+/// early-zero return as the recursive formulation, so both the value and
+/// the set of evaluated windows match it exactly.
 fn eval_fixed<C: IdCache, S: PatternStore + ?Sized>(
     ev: &mut DagEvaluator<'_, '_, '_, C, S>,
     twig: &Twig,
     strategy: CoverStrategy,
     k: usize,
-) -> f64 {
+) -> Result<f64, Fault> {
     if twig.len() <= k {
         return ev.eval_twig(twig);
     }
@@ -524,20 +618,20 @@ fn eval_fixed<C: IdCache, S: PatternStore + ?Sized>(
     let mut numerator = 1.0f64;
     let mut denominator = 1.0f64;
     for step in fixed_cover_with(twig, k, strategy) {
-        let s_sub = ev.eval_twig(&step.subtree);
+        let s_sub = ev.eval_twig(&step.subtree)?;
         if s_sub <= 0.0 {
-            return 0.0;
+            return Ok(0.0);
         }
         numerator *= s_sub;
         if let Some(overlap) = &step.overlap {
-            let s_ov = ev.eval_twig(overlap);
+            let s_ov = ev.eval_twig(overlap)?;
             if s_ov <= 0.0 {
-                return 0.0;
+                return Ok(0.0);
             }
             denominator *= s_ov;
         }
     }
-    numerator / denominator
+    Ok(numerator / denominator)
 }
 
 #[cfg(test)]
@@ -546,7 +640,8 @@ mod tests {
     use tl_xml::LabelInterner;
 
     use super::*;
-    use crate::estimator::{estimate_with_cache_depth, EstimateOptions, Estimator};
+    use crate::estimator::{EstimateOptions, Estimator};
+    use crate::reference::reference_estimate;
     use crate::summary::Summary;
 
     fn summary_of(patterns: &[(&str, u64)], k: usize) -> (Summary, LabelInterner) {
@@ -595,8 +690,7 @@ mod tests {
         for qs in queries {
             let t = q(&mut it, qs);
             for e in Estimator::ALL {
-                let mut memo: FxHashMap<tl_twig::TwigKey, f64> = FxHashMap::default();
-                let (rec_v, rec_d) = estimate_with_cache_depth(&s, &t, e, &opts, &mut memo);
+                let (rec_v, rec_d) = reference_estimate(&s, &t, e, &opts);
                 let mut cache = LocalIdCache::default();
                 let (dag_v, dag_d, stats) = estimate_dag(&s, &t, e, &opts, &mut cache);
                 assert_eq!(rec_v.to_bits(), dag_v.to_bits(), "{e} on {qs}");
@@ -756,9 +850,7 @@ mod tests {
         // And against the recursive reference, still bit-identical.
         for (qs, bits) in queries.iter().zip(&first_pass) {
             let t = q(&mut it, qs);
-            let mut memo: FxHashMap<tl_twig::TwigKey, f64> = FxHashMap::default();
-            let (rec_v, _) =
-                estimate_with_cache_depth(&s, &t, Estimator::Recursive, &opts, &mut memo);
+            let (rec_v, _) = reference_estimate(&s, &t, Estimator::Recursive, &opts);
             assert_eq!(rec_v.to_bits(), *bits, "{qs}");
         }
     }

@@ -38,7 +38,7 @@
 //! bytes and no allocation. Ids are content-addressed and never recycled, so
 //! generation invalidation stays a per-value concern exactly as before.
 //!
-//! Because cached values equal what the per-query recursion would compute,
+//! Because cached values equal what a per-query evaluation would compute,
 //! batch results are bit-for-bit identical to a sequential
 //! [`TreeLattice::estimate_with`] loop, for every estimator and any thread
 //! count. Two workers may race to compute the same key; both arrive at the
@@ -58,14 +58,13 @@ use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use tl_fault::{failpoints, Fault};
-use tl_twig::{Twig, TwigId, TwigInterner, TwigKey};
+use tl_twig::{Twig, TwigId, TwigInterner};
 use tl_xml::FxHashMap;
 
 use crate::catalog::Catalog;
 use crate::dag::{estimate_dag, IdCache};
-use crate::estimator::SubtwigCache;
-use crate::resilient::{estimate_resilient_with_cache, ResilientEstimate};
-use crate::{Degradation, EstimateOptions, Estimator, TreeLattice};
+use crate::resilient::{estimate_resilient_with, ResilientEstimate};
+use crate::{EstimateOptions, Estimator, TreeLattice};
 
 /// Construction knobs for [`EstimationEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -437,22 +436,15 @@ impl EstimationEngine {
             .nodes()
             .any(|n| twig.label(n).index() >= lattice.labels().len())
         {
-            return ResilientEstimate {
-                value: 0.0,
-                degradation: Degradation::None,
-                cause: None,
-            };
+            return ResilientEstimate::exact(0.0);
         }
-        // The resilient ladder stays on the byte-keyed `SubtwigCache`
-        // recursion (its budget accounting charges per key byte stored);
-        // the adapter below bridges those probes onto the id-keyed shards,
-        // so rung-1 values still share the engine cache with the DAG path.
-        let mut cache = SharedKeyCache {
-            inner: SharedIdCache::new(self, lattice.generation(), voting_class(estimator, opts)),
-        };
-        let start = self.rec.enabled().then(Instant::now);
-        let est =
-            estimate_resilient_with_cache(lattice.summary(), twig, estimator, opts, &mut cache);
+        // Rung 1 runs on the DAG through the shared shards, so its values
+        // are shared with the plain paths; the degraded rungs use
+        // query-local caches inside the ladder.
+        let mut cache =
+            SharedIdCache::new(self, lattice.generation(), voting_class(estimator, opts));
+        let start = cache.recording.then(Instant::now);
+        let est = estimate_resilient_with(lattice, twig, estimator, opts, &mut cache);
         if let Some(start) = start {
             self.rec.add(tl_obs::names::ENGINE_QUERIES, 1);
             self.rec.observe(
@@ -705,25 +697,6 @@ impl Drop for SharedIdCache<'_> {
                 .rec
                 .add(tl_obs::names::ENGINE_DAG_REFS, self.dag_refs);
         }
-    }
-}
-
-/// Byte-keyed bridge for the resilient ladder: interns each probed key and
-/// forwards to the id-keyed shards, so rung-1 (undegraded) values are shared
-/// with the DAG fast path.
-struct SharedKeyCache<'e> {
-    inner: SharedIdCache<'e>,
-}
-
-impl SubtwigCache for SharedKeyCache<'_> {
-    fn lookup(&mut self, key: &TwigKey) -> Option<f64> {
-        let id = self.inner.intern(key.as_bytes());
-        self.inner.lookup(id)
-    }
-
-    fn store(&mut self, key: TwigKey, value: f64) {
-        let id = self.inner.intern(key.as_bytes());
-        self.inner.store(id, value);
     }
 }
 

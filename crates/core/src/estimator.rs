@@ -14,18 +14,21 @@
 //!   with `n−k+1` k-subtrees in pre-order and take the telescoping product
 //!   `ŝ(T) = Π s(tᵢ) / Π s(tᵢ ∩ coveredᵢ₋₁)`.
 //!
-//! Lookup misses behave per [`Lookup`]: a miss on a complete level is an
-//! exact zero (zero-selectivity queries answer 0, the ≥90% negative-workload
-//! accuracy of §5.1), while a miss on a δ-pruned level re-derives the count
-//! recursively (Lemma 5).
+//! Lookup misses behave per [`Lookup`](crate::summary::Lookup): a miss on a
+//! complete level is an exact zero (zero-selectivity queries answer 0, the
+//! ≥90% negative-workload accuracy of §5.1), while a miss on a δ-pruned
+//! level re-derives the count recursively (Lemma 5).
+//!
+//! Both estimators run on one kernel, the iterative decomposition DAG of
+//! [`crate::dag`]; "recursing" above describes the mathematics, not the
+//! control flow. The plain entry points here run it without a budget; the
+//! budgeted ladder lives in [`crate::resilient`].
 
-use tl_fault::{Budget, Fault};
-use tl_twig::canonical::key_of;
-use tl_twig::ops::{decompose_pair, fixed_cover_with, removable_pairs, CoverStrategy};
-use tl_twig::{Twig, TwigKey};
-use tl_xml::FxHashMap;
+use tl_fault::Budget;
+use tl_twig::Twig;
 
-use crate::summary::{Lookup, Summary};
+use crate::dag::LocalIdCache;
+use crate::summary::Summary;
 
 /// Which estimation strategy to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -83,6 +86,7 @@ pub struct EstimateOptions {
     pub voting_cap: usize,
     /// Resource limits consulted by the resilient entry points
     /// ([`crate::TreeLattice::estimate_resilient`],
+    /// [`crate::estimate_resilient_catalog`],
     /// [`crate::EstimationEngine::estimate_batch_resilient`]). The plain
     /// infallible APIs ignore it entirely, so the default (unlimited)
     /// budget costs nothing there.
@@ -98,309 +102,42 @@ impl Default for EstimateOptions {
     }
 }
 
-/// Where resolved sub-twig estimates live during estimation.
-///
-/// The default implementation is a per-query local map (estimation state is
-/// discarded when the query completes). [`crate::engine::EstimationEngine`]
-/// substitutes a sharded cache shared across queries and worker threads;
-/// cached values are pure functions of (summary, key, effective voting
-/// width), so sharing never changes results.
-pub(crate) trait SubtwigCache {
-    /// Returns the cached estimate for `key`, if present.
-    fn lookup(&mut self, key: &TwigKey) -> Option<f64>;
-
-    /// Records the estimate for `key`.
-    fn store(&mut self, key: TwigKey, value: f64);
-}
-
-/// The per-query local memo: today's single-query behavior.
-impl SubtwigCache for FxHashMap<TwigKey, f64> {
-    fn lookup(&mut self, key: &TwigKey) -> Option<f64> {
-        self.get(key).copied()
-    }
-
-    fn store(&mut self, key: TwigKey, value: f64) {
-        self.insert(key, value);
-    }
-}
-
 /// Estimates the selectivity of `twig` from `summary`.
 ///
 /// Returns a non-negative estimate; `0.0` means the summary proves (or the
-/// decomposition concludes) the query cannot match.
-///
-/// Runs on the iterative decomposition-DAG evaluator ([`crate::dag`]) with a
-/// throwaway id cache; bit-identical to the recursive byte-keyed path, which
-/// remains available through [`estimate_with_cache`] for the budget-enforced
-/// resilient rungs and as a differential baseline.
+/// decomposition concludes) the query cannot match. Runs on the
+/// decomposition-DAG evaluator ([`crate::dag`]) with a throwaway id cache.
 pub fn estimate(
     summary: &Summary,
     twig: &Twig,
     estimator: Estimator,
     opts: &EstimateOptions,
 ) -> f64 {
-    let mut cache = crate::dag::LocalIdCache::default();
+    let mut cache = LocalIdCache::default();
     crate::dag::estimate_dag(summary, twig, estimator, opts, &mut cache).0
-}
-
-/// [`estimate`] reading and writing sub-twig estimates through `cache`.
-pub(crate) fn estimate_with_cache<C: SubtwigCache>(
-    summary: &Summary,
-    twig: &Twig,
-    estimator: Estimator,
-    opts: &EstimateOptions,
-    cache: &mut C,
-) -> f64 {
-    estimate_with_cache_depth(summary, twig, estimator, opts, cache).0
-}
-
-/// [`estimate_with_cache`], additionally returning the deepest
-/// decomposition recursion the query forced (0 when every sub-twig resolved
-/// from the summary or cache without decomposing).
-pub(crate) fn estimate_with_cache_depth<C: SubtwigCache>(
-    summary: &Summary,
-    twig: &Twig,
-    estimator: Estimator,
-    opts: &EstimateOptions,
-    cache: &mut C,
-) -> (f64, usize) {
-    // With enforcement off no budget check ever runs, so the recursion is
-    // infallible and this unwrap can never fire.
-    try_estimate_with_cache_depth(summary, twig, estimator, opts, cache, false)
-        .expect("unbudgeted estimation cannot fault")
-}
-
-/// The fallible core behind both the plain and the resilient entry points.
-///
-/// With `enforce` set, [`EstimateOptions::budget`] is consulted during the
-/// recursion (deadline on every sub-twig resolution, memory on every memo
-/// store) and the active fail-points at the `budget.*` sites can inject
-/// trips. With `enforce` clear, no check runs and the result is bit-for-bit
-/// what the pre-budget code computed.
-pub(crate) fn try_estimate_with_cache_depth<C: SubtwigCache>(
-    summary: &Summary,
-    twig: &Twig,
-    estimator: Estimator,
-    opts: &EstimateOptions,
-    cache: &mut C,
-    enforce: bool,
-) -> Result<(f64, usize), Fault> {
-    let mut ctx = RecursiveCtx {
-        summary,
-        cache,
-        voting: matches!(estimator, Estimator::RecursiveVoting),
-        cap: match estimator {
-            Estimator::RecursiveVoting => opts.voting_cap.max(1),
-            _ => 1,
-        },
-        scratch: Vec::new(),
-        depth: 0,
-        max_depth: 0,
-        budget: opts.budget,
-        enforce,
-        charged: 0,
-    };
-    let k = summary.max_size();
-    let value = match estimator {
-        Estimator::Recursive | Estimator::RecursiveVoting => ctx.estimate_key(key_of(twig))?,
-        // Canonicalize first so the pre-order cover (and hence the result)
-        // is identical for isomorphic queries.
-        Estimator::FixSized => estimate_fixed(
-            &mut ctx,
-            &key_of(twig).decode(),
-            CoverStrategy::AncestorsFirst,
-            k,
-        )?,
-        Estimator::FixSizedVoting => {
-            let canonical = key_of(twig).decode();
-            let strategies = [CoverStrategy::AncestorsFirst, CoverStrategy::ChildrenFirst];
-            let mut sum = 0.0f64;
-            for &st in &strategies {
-                sum += estimate_fixed(&mut ctx, &canonical, st, k)?;
-            }
-            sum / strategies.len() as f64
-        }
-    };
-    Ok((value, ctx.max_depth))
 }
 
 /// Fix-sized estimation at an explicit window size `k` — possibly smaller
 /// than the summary's mined order. This is exactly the computation behind
-/// the `ReducedK` rung of the degradation ladder (fresh local memo, no
-/// budget enforcement), exposed so test harnesses can reproduce a
-/// `Degradation::ReducedK { k }` value bit-for-bit.
+/// the `ReducedK` rung of the degradation ladder, run without a budget,
+/// exposed so test harnesses can reproduce a `Degradation::ReducedK { k }`
+/// value bit-for-bit. `_opts` is accepted for symmetry with [`estimate`]:
+/// the windows run non-voting, so no option changes the value.
 ///
 /// # Panics
 ///
 /// Panics unless `2 ≤ k ≤ |twig|` (the fix-sized cover's own bounds).
-pub fn estimate_fixed_at(summary: &Summary, twig: &Twig, k: usize, opts: &EstimateOptions) -> f64 {
-    let mut memo: FxHashMap<TwigKey, f64> = FxHashMap::default();
-    try_estimate_fixed_at(summary, twig, k, opts, &mut memo, false)
+pub fn estimate_fixed_at(summary: &Summary, twig: &Twig, k: usize, _opts: &EstimateOptions) -> f64 {
+    let mut cache = LocalIdCache::default();
+    crate::dag::estimate_fixed_dag(summary, twig, k, None, &mut cache)
         .expect("unbudgeted estimation cannot fault")
-}
-
-/// Fix-sized estimation over windows of `k` nodes — possibly smaller than
-/// the summary's mined order. This is the `ReducedK` rung of the
-/// degradation ladder: window and overlap lookups at sizes `<= k` still
-/// resolve exactly from the summary, only the covering is coarser.
-pub(crate) fn try_estimate_fixed_at<C: SubtwigCache>(
-    summary: &Summary,
-    twig: &Twig,
-    k: usize,
-    opts: &EstimateOptions,
-    cache: &mut C,
-    enforce: bool,
-) -> Result<f64, Fault> {
-    let mut ctx = RecursiveCtx {
-        summary,
-        cache,
-        voting: false,
-        cap: 1,
-        scratch: Vec::new(),
-        depth: 0,
-        max_depth: 0,
-        budget: opts.budget,
-        enforce,
-        charged: 0,
-    };
-    estimate_fixed(
-        &mut ctx,
-        &key_of(twig).decode(),
-        CoverStrategy::AncestorsFirst,
-        k,
-    )
-}
-
-/// Recursive-decomposition state: the summary plus a sub-twig cache.
-struct RecursiveCtx<'s, 'c, C> {
-    summary: &'s Summary,
-    cache: &'c mut C,
-    voting: bool,
-    cap: usize,
-    /// Recycled twig buffers for decoding keys on cache misses, one per
-    /// active recursion depth.
-    scratch: Vec<Twig>,
-    /// Current and deepest decomposition recursion reached; surfaced as the
-    /// `engine.decomposition.depth` metric.
-    depth: usize,
-    max_depth: usize,
-    /// Limits checked while `enforce` is set; plain estimation runs with
-    /// `enforce` clear and never consults them.
-    budget: Budget,
-    enforce: bool,
-    /// Approximate bytes of memo state charged against the budget.
-    charged: u64,
-}
-
-impl<C: SubtwigCache> RecursiveCtx<'_, '_, C> {
-    /// The recursive estimator of Figure 4 on a canonical key.
-    ///
-    /// Takes the key by value: every caller builds a fresh key anyway, and
-    /// moving it into the cache avoids the clone a borrowing insert forces.
-    fn estimate_key(&mut self, key: TwigKey) -> Result<f64, Fault> {
-        if self.enforce {
-            self.budget.check_deadline()?;
-        }
-        if let Some(v) = self.cache.lookup(&key) {
-            return Ok(v);
-        }
-        let value = match self.summary.lookup(&key) {
-            Lookup::Exact(c) => c as f64,
-            Lookup::Derivable | Lookup::TooLarge => {
-                if key.node_count() <= 2 {
-                    // Levels 1–2 are never pruned; reaching here means the
-                    // summary genuinely lacks the pattern.
-                    0.0
-                } else {
-                    let mut twig = self
-                        .scratch
-                        .pop()
-                        .unwrap_or_else(|| Twig::single(key.root_label()));
-                    key.decode_into(&mut twig);
-                    self.depth += 1;
-                    self.max_depth = self.max_depth.max(self.depth);
-                    let v = self.decompose(&twig);
-                    self.depth -= 1;
-                    self.scratch.push(twig);
-                    v?
-                }
-            }
-        };
-        if self.enforce {
-            // Mirrors the cache's own accounting: key bytes plus entry
-            // overhead.
-            self.charged += key.as_bytes().len() as u64 + 32;
-            self.budget.check_mem(self.charged)?;
-        }
-        self.cache.store(key, value);
-        Ok(value)
-    }
-
-    /// One decomposition step, optionally averaged over all pairs (voting).
-    fn decompose(&mut self, twig: &Twig) -> Result<f64, Fault> {
-        let pairs = removable_pairs(twig);
-        debug_assert!(!pairs.is_empty(), "size >= 3 twigs always decompose");
-        let take = if self.voting { self.cap } else { 1 };
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for &(u, v) in pairs.iter().take(take) {
-            let d = decompose_pair(twig, u, v);
-            let e1 = self.estimate_key(key_of(&d.t1))?;
-            if e1 <= 0.0 {
-                n += 1;
-                continue;
-            }
-            let e2 = self.estimate_key(key_of(&d.t2))?;
-            if e2 <= 0.0 {
-                n += 1;
-                continue;
-            }
-            let e12 = self.estimate_key(key_of(&d.t12))?;
-            if e12 > 0.0 {
-                sum += e1 * e2 / e12;
-            }
-            n += 1;
-        }
-        Ok(if n == 0 { 0.0 } else { sum / n as f64 })
-    }
-}
-
-/// The fix-sized estimator of Lemma 3, over windows of `k` nodes.
-fn estimate_fixed<C: SubtwigCache>(
-    ctx: &mut RecursiveCtx<'_, '_, C>,
-    twig: &Twig,
-    strategy: CoverStrategy,
-    k: usize,
-) -> Result<f64, Fault> {
-    if twig.len() <= k {
-        return ctx.estimate_key(key_of(twig));
-    }
-    assert!(
-        k >= 2,
-        "fix-sized estimation requires a summary of order >= 2"
-    );
-    let mut numerator = 1.0f64;
-    let mut denominator = 1.0f64;
-    for step in fixed_cover_with(twig, k, strategy) {
-        let s_sub = ctx.estimate_key(key_of(&step.subtree))?;
-        if s_sub <= 0.0 {
-            return Ok(0.0);
-        }
-        numerator *= s_sub;
-        if let Some(overlap) = &step.overlap {
-            let s_ov = ctx.estimate_key(key_of(overlap))?;
-            if s_ov <= 0.0 {
-                return Ok(0.0);
-            }
-            denominator *= s_ov;
-        }
-    }
-    Ok(numerator / denominator)
+        .0
 }
 
 #[cfg(test)]
 mod tests {
-    use tl_xml::LabelInterner;
+    use tl_twig::canonical::key_of;
+    use tl_xml::{FxHashMap, LabelInterner};
 
     use super::*;
 

@@ -78,7 +78,9 @@ pub use interval::{estimate_interval, IntervalEstimate};
 pub use online::{TunedLattice, TunerStats};
 pub use pruning::{prune_derivable, PruneReport};
 pub use reference::ReferenceEngine;
-pub use resilient::{markov_estimate, markov_estimate_store, ResilientEstimate};
+pub use resilient::{
+    estimate_resilient_catalog, markov_estimate, markov_estimate_store, ResilientEstimate,
+};
 pub use serialize::ReadError;
 pub use summary::{Lookup, Summary};
 pub use wal::{
@@ -251,7 +253,7 @@ impl TreeLattice {
     /// Merging is commutative and associative in the stored counts, but
     /// δ-pruning is *not* a monoid homomorphism: a pattern derivable in each
     /// operand may not be derivable in the sum. Merge all operands first,
-    /// then [`prune`](TreeLattice::prune) once — the order `gate_corpus`
+    /// then [`prune`](TreeLattice::prune) once — the order the corpus gate
     /// verifies against sequential mining.
     pub fn merge(&mut self, other: &TreeLattice) {
         let map = self.labels.extend_from(other.labels());
@@ -377,18 +379,7 @@ impl TreeLattice {
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> ResilientEstimate {
-        if twig
-            .nodes()
-            .any(|n| twig.label(n).index() >= self.labels.len())
-        {
-            return ResilientEstimate {
-                value: 0.0,
-                degradation: Degradation::None,
-                cause: None,
-            };
-        }
-        let mut memo: tl_xml::FxHashMap<tl_twig::TwigKey, f64> = tl_xml::FxHashMap::default();
-        resilient::estimate_resilient_with_cache(&self.summary, twig, estimator, opts, &mut memo)
+        estimate_resilient_catalog(self, twig, estimator, opts)
     }
 
     /// Parses a query in the twig surface syntax and estimates it.

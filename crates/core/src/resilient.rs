@@ -2,21 +2,31 @@
 //!
 //! A cardinality estimator embedded in a query optimizer must return *some*
 //! number for every query — a crude estimate beats an aborted plan search.
-//! [`estimate_resilient_with_cache`] runs the requested estimator under the
-//! caller's [`Budget`] and, instead of propagating a budget trip, climbs
-//! down a ladder of progressively cheaper models:
+//! The ladder runs the requested estimator under the caller's
+//! [`Budget`](crate::Budget) and, instead of propagating a budget trip,
+//! climbs down a ladder of progressively cheaper models:
 //!
 //! 1. **Requested estimator** (budget-enforced). Values are bit-for-bit
-//!    identical to the unbudgeted path, so this rung may share the engine's
-//!    cross-query cache.
+//!    identical to the unbudgeted path, so this rung runs through the
+//!    caller's cache: the engine's cross-query cache
+//!    ([`crate::EstimationEngine::estimate_resilient`]) or a per-query one
+//!    ([`estimate_resilient_catalog`]).
 //! 2. **Fix-sized at reduced k** ([`Degradation::ReducedK`]): windows of
 //!    `k_eff < k` nodes still resolve exactly from the summary's lower
-//!    levels; only the covering is coarser. Degraded values use a local
-//!    memo so they never pollute the shared cache.
+//!    levels; only the covering is coarser. Degraded values use a fresh
+//!    per-query cache so they never pollute the shared one.
 //! 3. **First-order Markov product** ([`Degradation::Markov`]): a closed
 //!    form over summary levels 1–2 only — `s(root) · Π s(parent/child) /
-//!    s(parent)` over the twig's edges. No recursion, no allocation beyond
-//!    one pair twig, cannot trip; the ladder therefore always terminates.
+//!    s(parent)` over the twig's edges. No decomposition, no allocation
+//!    beyond one pair twig, cannot trip; the ladder therefore always
+//!    terminates.
+//!
+//! Rungs 1 and 2 run on the decomposition DAG ([`crate::dag`]) with the
+//! budget attached: the deadline is checked before every root probe
+//! (each fix-sized window included) and before each DAG node is expanded
+//! or evaluated, and the memory cap is charged key bytes + 32 for every
+//! node resolved other than from the cache. The ladder is generic over
+//! the pattern store, so the in-memory, file and mmap backends all run it.
 //!
 //! This mirrors the fall-back-to-weaker-model stance of the TreeSketch and
 //! Markov-table baselines: each rung is itself a published estimator, just
@@ -25,12 +35,10 @@
 use tl_fault::{Degradation, Fault};
 use tl_twig::canonical::key_of;
 use tl_twig::{Twig, TwigKey};
-use tl_xml::FxHashMap;
 
-use crate::catalog::PatternStore;
-use crate::estimator::{
-    try_estimate_fixed_at, try_estimate_with_cache_depth, EstimateOptions, Estimator, SubtwigCache,
-};
+use crate::catalog::{Catalog, PatternStore};
+use crate::dag::{estimate_dag_within, estimate_fixed_dag, IdCache, LocalIdCache};
+use crate::estimator::{EstimateOptions, Estimator};
 use crate::summary::{Lookup, Summary};
 
 /// A selectivity estimate that always exists, tagged with how it was
@@ -56,15 +64,38 @@ impl ResilientEstimate {
     }
 }
 
-/// Runs the degradation ladder. Total: every path returns an estimate.
-pub(crate) fn estimate_resilient_with_cache<C: SubtwigCache>(
-    summary: &Summary,
+/// Estimates `twig` on any [`Catalog`] backend under the budget in `opts`,
+/// degrading instead of failing, with a per-query cache: the resilient
+/// sibling of [`crate::estimate_catalog`]. The result is always a finite,
+/// non-negative estimate tagged with the rung that produced it.
+/// Equivalent to [`crate::TreeLattice::estimate_resilient`] when the
+/// catalog is a `TreeLattice`.
+pub fn estimate_resilient_catalog<S: Catalog + ?Sized>(
+    catalog: &S,
+    twig: &Twig,
+    estimator: Estimator,
+    opts: &EstimateOptions,
+) -> ResilientEstimate {
+    // A label the document never contained cannot match anything.
+    if twig
+        .nodes()
+        .any(|n| twig.label(n).index() >= catalog.labels().len())
+    {
+        return ResilientEstimate::exact(0.0);
+    }
+    estimate_resilient_with(catalog, twig, estimator, opts, &mut LocalIdCache::default())
+}
+
+/// Runs the degradation ladder, rung 1 through `cache`. Total: every path
+/// returns an estimate. Callers apply the unknown-label guard first.
+pub(crate) fn estimate_resilient_with<S: PatternStore + ?Sized, C: IdCache>(
+    store: &S,
     twig: &Twig,
     estimator: Estimator,
     opts: &EstimateOptions,
     cache: &mut C,
 ) -> ResilientEstimate {
-    let k = summary.max_size();
+    let k = store.max_size();
     let capped = opts.budget.max_k.map(|mk| mk.max(2));
     let mut cause = None;
 
@@ -75,19 +106,19 @@ pub(crate) fn estimate_resilient_with_cache<C: SubtwigCache>(
         None => true,
     };
     if within_cap {
-        match try_estimate_with_cache_depth(summary, twig, estimator, opts, cache, true) {
-            Ok((value, _)) => return ResilientEstimate::exact(value),
+        match estimate_dag_within(store, twig, estimator, opts, Some(&opts.budget), cache) {
+            Ok((value, ..)) => return ResilientEstimate::exact(value),
             Err(fault) => cause = Some(fault),
         }
     }
 
     // Rung 2: fix-sized covering at a reduced order, with a fresh local
-    // memo so degraded values never enter the shared cache.
+    // cache so degraded values never enter the shared one.
     let k_eff = capped.unwrap_or(usize::MAX).min(k.saturating_sub(1)).max(2);
     if k_eff >= 2 && k >= 2 {
-        let mut local: FxHashMap<TwigKey, f64> = FxHashMap::default();
-        match try_estimate_fixed_at(summary, twig, k_eff, opts, &mut local, true) {
-            Ok(value) => {
+        let mut local = LocalIdCache::default();
+        match estimate_fixed_dag(store, twig, k_eff, Some(&opts.budget), &mut local) {
+            Ok((value, ..)) => {
                 return ResilientEstimate {
                     value,
                     degradation: Degradation::ReducedK { k: k_eff },
@@ -100,7 +131,7 @@ pub(crate) fn estimate_resilient_with_cache<C: SubtwigCache>(
 
     // Rung 3: the closed-form Markov product; never fails.
     ResilientEstimate {
-        value: markov_estimate(summary, twig),
+        value: markov_estimate_store(store, twig),
         degradation: Degradation::Markov,
         cause,
     }
@@ -157,11 +188,15 @@ pub fn markov_estimate_store<S: PatternStore + ?Sized>(store: &S, twig: &Twig) -
 mod tests {
     use std::time::{Duration, Instant};
 
+    use rand::SeedableRng;
+    use tl_datagen::{random_document, RandomTreeConfig};
     use tl_fault::Budget;
+    use tl_workload::sample::random_occurred_twig;
     use tl_xml::{parse_document, ParseOptions};
 
     use super::*;
-    use crate::{BuildConfig, TreeLattice};
+    use crate::reference::{reference_estimate, reference_fixed_at};
+    use crate::{estimate, estimate_fixed_at, BuildConfig, TreeLattice};
 
     fn sample_lattice(k: usize) -> TreeLattice {
         let mut s = String::from("<r>");
@@ -261,5 +296,62 @@ mod tests {
         let res = lat.estimate_resilient(&twig, Estimator::RecursiveVoting, &opts);
         assert!(res.degradation.is_degraded());
         assert!(res.value.is_finite() && res.value >= 0.0);
+    }
+
+    /// Rungs 1 and 2 run on the DAG; the reference recursion is their
+    /// differential baseline. On seeded random documents and twigs, with
+    /// and without pruned levels: the fix-sized estimate at every reduced
+    /// window size equals the recursion's, and rung 1 under an unlimited
+    /// budget equals both the unbudgeted DAG and the recursion, for every
+    /// estimator.
+    #[test]
+    fn dag_rungs_match_the_reference_recursion_bitwise() {
+        let _fp = tl_fault::failpoints::shared();
+        let opts = EstimateOptions::default();
+        let mut reduced = 0usize;
+        for seed in [3u64, 17, 29] {
+            let doc = random_document(&RandomTreeConfig {
+                seed,
+                nodes: 300,
+                labels: 6,
+                max_children: 5,
+            });
+            let mut lattice = TreeLattice::build(&doc, &BuildConfig::with_k(4));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let twigs: Vec<Twig> = (0..15)
+                .filter_map(|i| random_occurred_twig(&doc, &mut rng, 3 + i % 5))
+                .collect();
+            assert!(twigs.len() >= 10, "seed {seed}: workload came up short");
+            for pruned in [false, true] {
+                if pruned {
+                    lattice.prune(0.0);
+                }
+                let summary = lattice.summary();
+                for (i, twig) in twigs.iter().enumerate() {
+                    let ctx = format!("seed {seed}, pruned {pruned}, twig {i}");
+                    for k_eff in 2..lattice.k() {
+                        let dag = estimate_fixed_at(summary, twig, k_eff, &opts);
+                        let reference = reference_fixed_at(summary, twig, k_eff);
+                        assert_eq!(dag.to_bits(), reference.to_bits(), "{ctx}, k {k_eff}");
+                        reduced += 1;
+                    }
+                    for est in Estimator::ALL {
+                        let rung1 = estimate_resilient_with(
+                            summary,
+                            twig,
+                            est,
+                            &opts,
+                            &mut LocalIdCache::default(),
+                        );
+                        assert_eq!(rung1.degradation, Degradation::None, "{ctx}, {est}");
+                        let plain = estimate(summary, twig, est, &opts);
+                        let (reference, _) = reference_estimate(summary, twig, est, &opts);
+                        assert_eq!(rung1.value.to_bits(), plain.to_bits(), "{ctx}, {est}");
+                        assert_eq!(rung1.value.to_bits(), reference.to_bits(), "{ctx}, {est}");
+                    }
+                }
+            }
+        }
+        assert!(reduced >= 100, "only {reduced} reduced-k comparisons ran");
     }
 }

@@ -27,8 +27,8 @@
 //! recovery yields tuner state bit-identical to a synchronous replay of
 //! the acknowledged prefix. Fail-point sites (`wal.append.torn`,
 //! `wal.append.short`, `wal.fsync`, `snapshot.before_rename`,
-//! `snapshot.after_rename`) let the chaos suite and `gate_recovery`
-//! prove it for every injected crash point.
+//! `snapshot.after_rename`) let the chaos suite and the recovery gate
+//! (`gates --only recovery`) prove it for every injected crash point.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};

@@ -17,7 +17,7 @@
 //!    addition is commutative and associative, the merged lattice is
 //!    bit-identical (content-wise, and therefore in the canonical sorted
 //!    serialization) to mining the documents sequentially in order — the
-//!    property `gate_corpus` enforces.
+//!    property the corpus gate (`gates --only corpus`) enforces.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

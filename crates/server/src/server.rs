@@ -20,8 +20,9 @@
 //! 3. Holding the slot, the thread runs the requested estimator under
 //!    the tenant's [`Budget`] (deadline measured from admission, so time
 //!    parked counts against it), releases the slot, and writes the
-//!    response. Budget trips degrade down the ladder inside the engine;
-//!    the response carries the rung.
+//!    response. Budget trips degrade down the ladder on either backend
+//!    (through the engine's shared cache in memory, a per-query cache on
+//!    mmap); the response carries the rung.
 //!
 //! `scrape` bypasses the gate entirely: observability must work *best*
 //! exactly when the server is overloaded.
@@ -40,9 +41,9 @@ use tl_obs::{names, MetricsRecorder, Recorder};
 use tl_twig::canonical::key_of;
 use tl_twig::{parse_twig_in, Twig, TwigParseError};
 use treelattice::{
-    markov_estimate_store, Catalog, DurabilityPolicy, DurableLattice, DurableOptions, EngineConfig,
-    EstimateOptions, EstimationEngine, Estimator, Lookup, MmapCatalog, PatternStore,
-    ResilientEstimate, TreeLattice, TunedLattice,
+    estimate_resilient_catalog, markov_estimate_store, Catalog, DurabilityPolicy, DurableLattice,
+    DurableOptions, EngineConfig, EstimateOptions, EstimationEngine, Estimator, Lookup,
+    MmapCatalog, PatternStore, ResilientEstimate, TreeLattice, TunedLattice,
 };
 
 use crate::protocol::{read_frame_with, write_frame, FrameError, Request, Response, WireEstimate};
@@ -99,8 +100,9 @@ pub struct ServerConfig {
     pub summary_path: PathBuf,
     /// Serve from the zero-copy mmap catalog instead of deserializing
     /// into memory. Read-only: `update` requests are refused as usage
-    /// errors, and rung-1 estimates run unbudgeted (catalog parity with
-    /// the CLI's `--mmap` contract); sheds still degrade to Markov.
+    /// errors. Estimates run the full degradation ladder under the
+    /// tenant's budget, like the memory backend, but with a per-query
+    /// cache instead of the engine's shared one; sheds degrade to Markov.
     pub mmap: bool,
     /// Port to bind on 127.0.0.1; `0` asks the OS for an ephemeral port
     /// (read it back from [`ServerHandle::addr`] or `--port-file`).
@@ -204,37 +206,21 @@ impl Backend {
     }
 
     fn estimate(&self, twig: &Twig, estimator: Estimator, budget: Budget) -> Response {
+        let opts = EstimateOptions {
+            budget,
+            ..EstimateOptions::default()
+        };
         match self {
             Backend::Memory { store, engine } => {
-                let opts = EstimateOptions {
-                    budget,
-                    ..EstimateOptions::default()
-                };
                 let guard = store.read();
                 match engine.estimate_resilient(guard.tuned().lattice(), twig, estimator, &opts) {
                     Ok(est) => Response::Estimate(wire(est)),
                     Err(fault) => Response::fault(fault),
                 }
             }
-            Backend::Mmap { catalog } => {
-                // Catalog parity with the CLI: rung 1 runs unbudgeted,
-                // but an already-expired deadline (parking for a slot
-                // ate it) still degrades instead of holding the slot.
-                if let Err(cause) = budget.check_deadline() {
-                    return Response::Estimate(WireEstimate {
-                        value: markov_estimate_store(catalog, twig),
-                        degradation: Degradation::Markov,
-                        cause: Some(cause),
-                    });
-                }
-                let value = treelattice::estimate_catalog(
-                    catalog,
-                    twig,
-                    estimator,
-                    &EstimateOptions::default(),
-                );
-                Response::Estimate(WireEstimate::exact(value))
-            }
+            Backend::Mmap { catalog } => Response::Estimate(wire(estimate_resilient_catalog(
+                catalog, twig, estimator, &opts,
+            ))),
         }
     }
 

@@ -342,6 +342,57 @@ fn mmap_backend_serves_and_refuses_update() {
     handle.shutdown().expect("clean drain");
 }
 
+/// The mmap backend runs the full degradation ladder: a tenant capped at
+/// `max_k = 2` answers from the reduced-k rung bit-for-bit like the same
+/// tenant on the memory backend, while the default tenant stays
+/// bit-identical to `estimate_catalog`.
+#[test]
+fn mmap_backend_degrades_a_capped_tenant_like_the_memory_backend() {
+    let lattice = sample_lattice();
+    let path = write_summary(&lattice, "mmap-ladder.tlat");
+    let serve_capped = |mmap: bool| {
+        let mut config = ServerConfig::new(&path);
+        config.mmap = mmap;
+        let mut tenant = TenantSpec::new("capped", 1, 64);
+        tenant.budget = Some(BudgetSpec {
+            max_k: Some(2),
+            ..BudgetSpec::default()
+        });
+        config.tenants = vec![tenant];
+        serve(config).unwrap()
+    };
+    let mmap = serve_capped(true);
+    let memory = serve_capped(false);
+    let mut capped_mmap = Client::connect(mmap.addr(), "capped").unwrap();
+    let mut capped_memory = Client::connect(memory.addr(), "capped").unwrap();
+    let mut default_mmap = Client::connect(mmap.addr(), "default").unwrap();
+
+    let catalog = MmapCatalog::open(&path).unwrap();
+    let mut reduced = 0;
+    for &query in QUERIES {
+        let mut labels = catalog.labels().clone();
+        let twig = tl_twig::parse_twig(query, &mut labels).unwrap();
+        for est in Estimator::ALL {
+            let ctx = format!("{est} {query}");
+            let on_mmap = capped_mmap.estimate(est, query).unwrap();
+            let on_memory = capped_memory.estimate(est, query).unwrap();
+            assert_eq!(on_mmap.degradation, on_memory.degradation, "{ctx}");
+            assert_eq!(on_mmap.value.to_bits(), on_memory.value.to_bits(), "{ctx}");
+            if twig.len() > 2 {
+                assert_eq!(on_mmap.degradation, Degradation::ReducedK { k: 2 }, "{ctx}");
+                reduced += 1;
+            }
+            let exact = default_mmap.estimate(est, query).unwrap();
+            let local = estimate_catalog(&catalog, &twig, est, &EstimateOptions::default());
+            assert_eq!(exact.degradation, Degradation::None, "{ctx}");
+            assert_eq!(exact.value.to_bits(), local.to_bits(), "{ctx}");
+        }
+    }
+    assert!(reduced > 0, "no query was large enough to hit the cap");
+    mmap.shutdown().expect("clean drain");
+    memory.shutdown().expect("clean drain");
+}
+
 #[test]
 fn per_tenant_deadline_budget_degrades_with_provenance() {
     let lattice = sample_lattice();

@@ -345,3 +345,64 @@ fn expired_deadline_collapses_to_markov_totally() {
         );
     }
 }
+
+/// A budget trip part-way through a DAG build or evaluation leaves only
+/// finished values in the shared cache, and the thread's scratch stays
+/// reusable. The N-th deadline or memory check of each decomposing query
+/// is tripped in turn on one engine, so every trip lands on a cache the
+/// earlier trips left partly filled; afterwards the engine answers a clean
+/// batch exactly like a fresh one, and this thread answers exactly like a
+/// fresh thread.
+#[test]
+fn budget_trips_mid_dag_leave_cache_and_scratch_consistent() {
+    let fp = failpoints::exclusive();
+    let doc = dataset();
+    let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
+    let twigs = twigs_for(&doc, 10);
+    let estimator = Estimator::RecursiveVoting;
+    let opts = EstimateOptions::default();
+    let engine = EstimationEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    let mut tripped = 0;
+    for twig in &twigs {
+        let exact = lattice.estimate(twig, estimator).to_bits();
+        for n in 1..=64 {
+            for site in [sites::BUDGET_DEADLINE, sites::BUDGET_MEM] {
+                let est = fp
+                    .with_active(&format!("{site}=nth:{n}"), 0, || {
+                        engine.estimate_resilient(&lattice, twig, estimator, &opts)
+                    })
+                    .expect("a budget trip is a degradation, not a fault");
+                if est.degradation.is_degraded() {
+                    tripped += 1;
+                } else {
+                    assert_eq!(est.value.to_bits(), exact, "{site}=nth:{n}");
+                }
+            }
+        }
+    }
+    assert!(
+        tripped >= 50,
+        "only {tripped} sweep points tripped mid-query"
+    );
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let after = engine.estimate_batch(&lattice, &twigs, estimator, &opts);
+    let fresh = EstimationEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    })
+    .estimate_batch(&lattice, &twigs, estimator, &opts);
+    assert_eq!(bits(&after), bits(&fresh));
+
+    let probe = &twigs[1];
+    let here = lattice.estimate(probe, estimator);
+    let there = std::thread::scope(|s| {
+        s.spawn(|| lattice.estimate(probe, estimator))
+            .join()
+            .expect("fresh thread estimates")
+    });
+    assert_eq!(here.to_bits(), there.to_bits());
+}
