@@ -62,9 +62,18 @@ pub struct DecomposeBench {
     pub scale: usize,
     /// Seed echo.
     pub seed: u64,
+    /// CPUs available to the process that took the timings.
+    pub host_cpus: usize,
     /// One row per estimator.
     pub rows: Vec<DecomposeRow>,
 }
+
+/// Timed samples per cold median; each sample is one batch.
+const COLD_REPEATS: usize = 5;
+/// Timed samples per warm median.
+const WARM_REPEATS: usize = 7;
+/// Batches per warm sample.
+const WARM_ITERS: usize = 20;
 
 /// The fixed configuration `bench_decompose` runs with: the accuracy-gate
 /// fixture, so the committed record and the committed thresholds describe
@@ -166,21 +175,21 @@ pub fn build(cfg: &ExpConfig) -> DecomposeBench {
         // Cold: fresh cache, one batch. The fresh state is inside the
         // closure, so every sample pays first-sighting interning and the
         // full DAG expansion (or, for the reference, the full recursion).
-        let reference_cold_ms = median_ms(5, 1, || {
+        let reference_cold_ms = median_ms(COLD_REPEATS, 1, || {
             let r = ReferenceEngine::new();
             std::hint::black_box(r.estimate_batch(&lattice, &twigs, estimator, &opts));
         });
-        let engine_cold_ms = median_ms(5, 1, || {
+        let engine_cold_ms = median_ms(COLD_REPEATS, 1, || {
             let e = fresh_engine();
             std::hint::black_box(e.estimate_batch(&lattice, &twigs, estimator, &opts));
         });
 
         // Warm: repeat the batch against the populated caches from the
         // verification run above.
-        let reference_warm_ms = median_ms(7, 20, || {
+        let reference_warm_ms = median_ms(WARM_REPEATS, WARM_ITERS, || {
             std::hint::black_box(reference.estimate_batch(&lattice, &twigs, estimator, &opts));
         });
-        let engine_warm_ms = median_ms(7, 20, || {
+        let engine_warm_ms = median_ms(WARM_REPEATS, WARM_ITERS, || {
             std::hint::black_box(engine.estimate_batch(&lattice, &twigs, estimator, &opts));
         });
 
@@ -210,17 +219,28 @@ pub fn build(cfg: &ExpConfig) -> DecomposeBench {
     DecomposeBench {
         scale: cfg.scale,
         seed: cfg.seed,
+        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         rows,
     }
 }
 
 /// Renders the result as a `tl-metrics/1` snapshot: timings and ratios as
-/// gauges, structural counts as counters, configuration echo as meta.
+/// gauges, structural counts as counters, configuration echo as meta. The
+/// meta also records the host's CPU count and each median's repeat count
+/// (`repeats.warm` is samples × batches per sample).
 pub fn to_snapshot(b: &DecomposeBench) -> tl_obs::Snapshot {
     let mut snap = tl_obs::Snapshot::default();
     snap.meta.insert("bench".into(), "decompose".into());
     snap.meta.insert("scale".into(), b.scale.to_string());
     snap.meta.insert("seed".into(), b.seed.to_string());
+    snap.meta
+        .insert("host.cpus".into(), b.host_cpus.to_string());
+    snap.meta
+        .insert("repeats.cold".into(), COLD_REPEATS.to_string());
+    snap.meta.insert(
+        "repeats.warm".into(),
+        format!("{WARM_REPEATS}x{WARM_ITERS}"),
+    );
     for r in &b.rows {
         let p = format!("bench.decompose.{}", r.estimator);
         snap.counters

@@ -887,6 +887,7 @@ mod tests {
         let bench = |speedup: f64, dedup: f64| decompose::DecomposeBench {
             scale: 2_000,
             seed: 42,
+            host_cpus: 2,
             rows: vec![row(speedup, dedup)],
         };
         let cfg = decompose_config();
@@ -919,6 +920,7 @@ mod tests {
         let slow_cold = decompose::DecomposeBench {
             scale: 2_000,
             seed: 42,
+            host_cpus: 2,
             rows: vec![decompose::DecomposeRow {
                 estimator: "recursive",
                 queries: 10,

@@ -39,23 +39,29 @@
 //! thread's scratch is reset on its next use. Without a budget nothing is
 //! checked.
 //!
-//! Two cold-path economies keep single-query latency below the reference
+//! Three cold-path economies keep single-query latency below the reference
 //! engine's (the `gate.decompose.min_cold_speedup` floor): the arena
 //! buffers live in a thread-local [`DagScratch`] pool, so a cold query
 //! reuses the previous query's capacity instead of growing fresh vectors;
-//! and roots the pattern store can answer directly (within-`k` patterns —
+//! roots the pattern store can answer directly (within-`k` patterns —
 //! exact counts or trivially-zero levels) return after one store probe
-//! without touching the arenas at all.
+//! without touching the arenas at all; and expansion never leaves the
+//! canonical byte domain. A pending node keeps its canonical bytes, and a
+//! [`RemovalView`] over them writes each operand's bytes straight from the
+//! parent's, copying untouched subtrees and re-emitting only the ancestors
+//! of the removed nodes. `T − x` is derived once per removable node `x`
+//! and shared by every pair holding it, `T − u − v` once per taken pair;
+//! no operand is built as a [`Twig`] or encoded from one.
 //!
 //! The evaluator is generic over [`PatternStore`], so the same DAG runs
 //! against the in-memory summary, the eager file catalog, or the zero-copy
 //! mmap catalog (see [`crate::catalog`]).
 
 use tl_fault::{Budget, Fault};
-use tl_twig::canonical::{decode_bytes_into, key_of, KeyEncoder};
-use tl_twig::ops::{decompose_pair_into, fixed_cover_with, removable_pairs_into, CoverStrategy};
-use tl_twig::{Twig, TwigId, TwigInterner, TwigNodeId};
-use tl_xml::{FxHashMap, LabelId};
+use tl_twig::canonical::{key_of, KeyEncoder, RemovalView};
+use tl_twig::ops::{fixed_cover_with, CoverStrategy};
+use tl_twig::{Twig, TwigId, TwigInterner};
+use tl_xml::FxHashMap;
 
 use crate::catalog::PatternStore;
 use crate::estimator::{EstimateOptions, Estimator};
@@ -165,12 +171,69 @@ struct DagNode {
     state: State,
 }
 
+/// A pending node's place on the expansion worklist: its node index, the
+/// depth it expands at, and where its canonical bytes sit in
+/// [`DagScratch::keys`].
+struct Expansion {
+    ix: u32,
+    depth: usize,
+    key: (u32, u32),
+}
+
+/// The operands of the node being expanded, in the canonical byte domain:
+/// the view over its encoding, `T − x` for each removable node `x` derived
+/// on first use, and `T − u − v` for the pair being materialized.
+#[derive(Default)]
+struct Operands {
+    view: RemovalView,
+    /// Per removable node, in view order: the byte range of `T − x` in
+    /// `minus_one_bytes`, once derived.
+    minus_one: Vec<Option<(u32, u32)>>,
+    minus_one_bytes: Vec<u8>,
+    minus_two: Vec<u8>,
+}
+
+impl Operands {
+    /// Starts the expansion of the node whose canonical bytes are `key`.
+    fn load(&mut self, key: &[u8]) {
+        self.view.load(key);
+        self.minus_one.clear();
+        self.minus_one.resize(self.view.removable().len(), None);
+        self.minus_one_bytes.clear();
+    }
+
+    /// The bytes of `T − x` for the `i`-th removable node, derived the
+    /// first time any pair asks for them.
+    fn minus_one(&mut self, i: usize) -> &[u8] {
+        let (start, end) = match self.minus_one[i] {
+            Some(range) => range,
+            None => {
+                let start = self.minus_one_bytes.len() as u32;
+                let x = self.view.removable()[i];
+                self.view.write_minus_one(x, &mut self.minus_one_bytes);
+                let range = (start, self.minus_one_bytes.len() as u32);
+                self.minus_one[i] = Some(range);
+                range
+            }
+        };
+        &self.minus_one_bytes[start as usize..end as usize]
+    }
+
+    /// The bytes of `T − u − v` for the `i`-th and `j`-th removable nodes.
+    fn minus_two(&mut self, i: usize, j: usize) -> &[u8] {
+        let (u, v) = (self.view.removable()[i], self.view.removable()[j]);
+        self.minus_two.clear();
+        self.view.write_minus_two(u, v, &mut self.minus_two);
+        &self.minus_two
+    }
+}
+
 /// The pooled arena storage behind a [`DagEvaluator`]: node and pair
-/// arenas, the dedup index, worklists, and the encode/decode scratch
-/// buffers. One instance lives per thread (see [`with_dag_scratch`]) and is
-/// reset — clearing lengths, keeping capacities — at the start of every
-/// evaluation, so cold queries stop paying the arena's allocation ramp-up
-/// after the thread's first query.
+/// arenas, the dedup index, worklists, the pending nodes' canonical bytes,
+/// and the encode and operand scratch. One instance lives per thread (see
+/// [`with_dag_scratch`]) and is reset — clearing lengths, keeping
+/// capacities — at the start of every evaluation, so cold queries stop
+/// paying the arena's allocation ramp-up after the thread's first query.
 #[derive(Default)]
 pub(crate) struct DagScratch {
     /// Node arena, in first-reference order.
@@ -181,29 +244,28 @@ pub(crate) struct DagScratch {
     index: FxHashMap<TwigId, u32>,
     /// Node indices awaiting evaluation this round.
     pending: Vec<u32>,
-    /// Expansion worklist: (node index, expansion depth, decoded twig).
-    build_stack: Vec<(u32, usize, Twig)>,
+    /// Expansion worklist, drained depth-first.
+    build_stack: Vec<Expansion>,
+    /// Canonical bytes of every node queued for expansion this evaluation.
+    keys: Vec<u8>,
     encoder: KeyEncoder,
-    twig_pool: Vec<Twig>,
-    byte_pool: Vec<Vec<u8>>,
-    rm_nodes: Vec<TwigNodeId>,
-    rm_pairs: Vec<(TwigNodeId, TwigNodeId)>,
+    /// The encoded root of [`DagEvaluator::eval_twig`].
+    root_key: Vec<u8>,
+    operands: Operands,
     /// Evaluation order scratch for `evaluate`.
     order: Vec<u32>,
 }
 
 impl DagScratch {
-    /// Clears per-evaluation state; pools and capacities survive.
+    /// Clears per-evaluation state; pools and capacities survive. An
+    /// evaluation abandoned on a budget trip leaves its worklist here.
     fn reset(&mut self) {
-        // An evaluation abandoned on a budget trip leaves its unexpanded
-        // twigs here; return them to the pool.
-        for (_, _, twig) in self.build_stack.drain(..) {
-            self.twig_pool.push(twig);
-        }
         self.nodes.clear();
         self.pairs.clear();
         self.index.clear();
         self.pending.clear();
+        self.build_stack.clear();
+        self.keys.clear();
         self.order.clear();
     }
 }
@@ -270,10 +332,10 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     /// on the same evaluator — fix-sized windows share the node table.
     fn eval_twig(&mut self, twig: &Twig) -> Result<f64, Fault> {
         self.meter.check_deadline()?;
-        let mut buf = self.scratch.byte_pool.pop().unwrap_or_default();
+        let mut buf = std::mem::take(&mut self.scratch.root_key);
         self.scratch.encoder.encode_into(twig, &mut buf);
         let root = self.ensure(&buf, 1);
-        self.scratch.byte_pool.push(buf);
+        self.scratch.root_key = buf;
         let root = root?;
         self.build()?;
         self.evaluate()?;
@@ -335,13 +397,10 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
                         self.cache.store(id, 0.0);
                         State::Resolved(0.0)
                     } else {
-                        let mut twig = self
-                            .scratch
-                            .twig_pool
-                            .pop()
-                            .unwrap_or_else(|| Twig::single(LabelId(0)));
-                        decode_bytes_into(bytes, &mut twig);
-                        self.scratch.build_stack.push((ix, depth, twig));
+                        let start = self.scratch.keys.len() as u32;
+                        self.scratch.keys.extend_from_slice(bytes);
+                        let key = (start, self.scratch.keys.len() as u32);
+                        self.scratch.build_stack.push(Expansion { ix, depth, key });
                         self.scratch.pending.push(ix);
                         // Placeholder; `expand` fills the pair slice in.
                         State::Pending {
@@ -359,59 +418,42 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
 
     /// Drains the expansion worklist depth-first.
     fn build(&mut self) -> Result<(), Fault> {
-        while let Some((ix, depth, twig)) = self.scratch.build_stack.pop() {
+        while let Some(job) = self.scratch.build_stack.pop() {
             self.meter.check_deadline()?;
-            self.max_depth = self.max_depth.max(depth);
-            self.expand(ix, depth, &twig)?;
-            self.scratch.twig_pool.push(twig);
+            self.max_depth = self.max_depth.max(job.depth);
+            let mut ops = std::mem::take(&mut self.scratch.operands);
+            ops.load(&self.scratch.keys[job.key.0 as usize..job.key.1 as usize]);
+            let expanded = self.expand(job.ix, job.depth, &mut ops);
+            self.scratch.operands = ops;
+            expanded?;
         }
         Ok(())
     }
 
-    /// Materializes one node's removable-pair operands into the arenas.
-    fn expand(&mut self, ix: u32, depth: usize, twig: &Twig) -> Result<(), Fault> {
-        let mut rm_nodes = std::mem::take(&mut self.scratch.rm_nodes);
-        let mut rm_pairs = std::mem::take(&mut self.scratch.rm_pairs);
-        removable_pairs_into(twig, &mut rm_nodes, &mut rm_pairs);
-        debug_assert!(!rm_pairs.is_empty(), "size >= 3 twigs always decompose");
+    /// Materializes one node's removable-pair operands into the arenas,
+    /// straight from its canonical bytes (loaded into `ops`). `T − x` is
+    /// derived once per removable node and shared by every pair holding
+    /// `x`; `T − u − v` once per taken pair. Operands are ensured in the
+    /// recursion's order, `T − v`, `T − u`, `T − u − v` per pair, so node
+    /// ids, references and budget charges follow it exactly.
+    fn expand(&mut self, ix: u32, depth: usize, ops: &mut Operands) -> Result<(), Fault> {
+        let r = ops.view.removable().len();
+        debug_assert!(r >= 2, "size >= 3 twigs always decompose");
         let take = if self.voting { self.cap } else { 1 };
-        let n = take.min(rm_pairs.len());
+        let n = take.min(r * (r - 1) / 2);
         let first_pair = u32::try_from(self.scratch.pairs.len()).expect("DAG pair arena overflow");
-        let mut t1 = self.pooled_twig();
-        let mut t2 = self.pooled_twig();
-        let mut t12 = self.pooled_twig();
-        for &(u, v) in rm_pairs.iter().take(n) {
-            decompose_pair_into(twig, u, v, &mut t1, &mut t2, &mut t12);
-            let a = self.ensure_twig(&t1, depth + 1)?;
-            let b = self.ensure_twig(&t2, depth + 1)?;
-            let c = self.ensure_twig(&t12, depth + 1)?;
+        let pairs = (0..r).flat_map(|i| (i + 1..r).map(move |j| (i, j)));
+        for (i, j) in pairs.take(n) {
+            let a = self.ensure(ops.minus_one(j), depth + 1)?;
+            let b = self.ensure(ops.minus_one(i), depth + 1)?;
+            let c = self.ensure(ops.minus_two(i, j), depth + 1)?;
             self.scratch.pairs.push([a, b, c]);
         }
-        self.scratch.twig_pool.push(t1);
-        self.scratch.twig_pool.push(t2);
-        self.scratch.twig_pool.push(t12);
-        self.scratch.rm_nodes = rm_nodes;
-        self.scratch.rm_pairs = rm_pairs;
         self.scratch.nodes[ix as usize].state = State::Pending {
             first_pair,
             n_pairs: n as u32,
         };
         Ok(())
-    }
-
-    fn pooled_twig(&mut self) -> Twig {
-        self.scratch
-            .twig_pool
-            .pop()
-            .unwrap_or_else(|| Twig::single(LabelId(0)))
-    }
-
-    fn ensure_twig(&mut self, twig: &Twig, depth: usize) -> Result<u32, Fault> {
-        let mut buf = self.scratch.byte_pool.pop().unwrap_or_default();
-        self.scratch.encoder.encode_into(twig, &mut buf);
-        let ix = self.ensure(&buf, depth);
-        self.scratch.byte_pool.push(buf);
-        ix
     }
 
     /// One bottom-up pass over this round's pending nodes, smallest first.

@@ -62,7 +62,7 @@ use tl_twig::{Twig, TwigId, TwigInterner};
 use tl_xml::FxHashMap;
 
 use crate::catalog::Catalog;
-use crate::dag::{estimate_dag, IdCache};
+use crate::dag::{estimate_dag, DagStats, IdCache};
 use crate::resilient::{estimate_resilient_with, ResilientEstimate};
 use crate::{EstimateOptions, Estimator, TreeLattice};
 
@@ -300,17 +300,20 @@ impl EstimationEngine {
         }
         let start = cache.recording.then(Instant::now);
         let (value, depth, stats) = estimate_dag(catalog, twig, estimator, opts, cache);
-        cache.dag_nodes += stats.nodes;
-        cache.dag_refs += stats.refs;
+        self.note_query(start);
+        cache.note_dag(depth, stats);
+        value
+    }
+
+    /// Counts one query and observes its latency, when recording.
+    fn note_query(&self, start: Option<Instant>) {
         if let Some(start) = start {
             self.rec.add(tl_obs::names::ENGINE_QUERIES, 1);
             self.rec.observe(
                 tl_obs::names::QUERY_LATENCY_US,
                 start.elapsed().as_micros() as u64,
             );
-            self.rec.observe(tl_obs::names::DECOMP_DEPTH, depth as u64);
         }
-        value
     }
 
     /// Estimates every twig in `batch`, in order, splitting the work over
@@ -444,13 +447,10 @@ impl EstimationEngine {
         let mut cache =
             SharedIdCache::new(self, lattice.generation(), voting_class(estimator, opts));
         let start = cache.recording.then(Instant::now);
-        let est = estimate_resilient_with(lattice, twig, estimator, opts, &mut cache);
-        if let Some(start) = start {
-            self.rec.add(tl_obs::names::ENGINE_QUERIES, 1);
-            self.rec.observe(
-                tl_obs::names::QUERY_LATENCY_US,
-                start.elapsed().as_micros() as u64,
-            );
+        let (est, rung1) = estimate_resilient_with(lattice, twig, estimator, opts, &mut cache);
+        self.note_query(start);
+        if let Some((depth, stats)) = rung1 {
+            cache.note_dag(depth, stats);
         }
         est
     }
@@ -607,6 +607,18 @@ impl<'e> SharedIdCache<'e> {
             dag_nodes: 0,
             dag_refs: 0,
             recording: engine.rec.enabled(),
+        }
+    }
+
+    /// Adds one DAG build's statistics to the batched counters and, when
+    /// recording, observes its decomposition depth.
+    fn note_dag(&mut self, depth: usize, stats: DagStats) {
+        self.dag_nodes += stats.nodes;
+        self.dag_refs += stats.refs;
+        if self.recording {
+            self.engine
+                .rec
+                .observe(tl_obs::names::DECOMP_DEPTH, depth as u64);
         }
     }
 }
@@ -960,6 +972,40 @@ mod tests {
         let second = engine.stats();
         assert_eq!(second.interner_keys, first.interner_keys);
         assert_eq!(second.key_clone_bytes, first.key_clone_bytes);
+    }
+
+    /// The resilient path runs the same DAG as the plain one, so a cold
+    /// decomposing twig must report the same DAG work through both.
+    #[test]
+    fn resilient_path_reports_its_dag_work_like_the_plain_path() {
+        let _fp = tl_fault::failpoints::shared();
+        let lat = sample_lattice();
+        let twig = lat.parse_query("a[b[c][d]][e]").unwrap();
+        let opts = EstimateOptions::default();
+        let recorded = || {
+            let rec = Arc::new(tl_obs::MetricsRecorder::new());
+            let engine = EstimationEngine::with_recorder(EngineConfig::default(), rec.clone());
+            (engine, rec)
+        };
+        let (plain, plain_rec) = recorded();
+        let (resilient, resilient_rec) = recorded();
+        for est in [Estimator::Recursive, Estimator::RecursiveVoting] {
+            let want = plain.estimate(&lat, &twig, est, &opts);
+            let got = resilient
+                .estimate_resilient(&lat, &twig, est, &opts)
+                .unwrap();
+            assert_eq!(got.degradation, tl_fault::Degradation::None);
+            assert_eq!(got.value.to_bits(), want.to_bits(), "{est}");
+        }
+        let (p, r) = (plain.stats(), resilient.stats());
+        assert!(p.dag_nodes > 0, "the twig decomposes");
+        assert_eq!(r.dag_nodes, p.dag_nodes);
+        assert_eq!(r.dag_refs, p.dag_refs);
+        let depth_samples = |rec: &tl_obs::MetricsRecorder| {
+            rec.snapshot().histograms[tl_obs::names::DECOMP_DEPTH].count
+        };
+        assert_eq!(depth_samples(&resilient_rec), depth_samples(&plain_rec));
+        assert_eq!(depth_samples(&plain_rec), 2);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use tl_twig::canonical::key_of;
 use tl_twig::{Twig, TwigKey};
 
 use crate::catalog::{Catalog, PatternStore};
-use crate::dag::{estimate_dag_within, estimate_fixed_dag, IdCache, LocalIdCache};
+use crate::dag::{estimate_dag_within, estimate_fixed_dag, DagStats, IdCache, LocalIdCache};
 use crate::estimator::{EstimateOptions, Estimator};
 use crate::summary::{Lookup, Summary};
 
@@ -83,18 +83,20 @@ pub fn estimate_resilient_catalog<S: Catalog + ?Sized>(
     {
         return ResilientEstimate::exact(0.0);
     }
-    estimate_resilient_with(catalog, twig, estimator, opts, &mut LocalIdCache::default())
+    estimate_resilient_with(catalog, twig, estimator, opts, &mut LocalIdCache::default()).0
 }
 
 /// Runs the degradation ladder, rung 1 through `cache`. Total: every path
-/// returns an estimate. Callers apply the unknown-label guard first.
+/// returns an estimate, with rung 1's decomposition depth and DAG
+/// statistics when rung 1 answered. Callers apply the unknown-label guard
+/// first.
 pub(crate) fn estimate_resilient_with<S: PatternStore + ?Sized, C: IdCache>(
     store: &S,
     twig: &Twig,
     estimator: Estimator,
     opts: &EstimateOptions,
     cache: &mut C,
-) -> ResilientEstimate {
+) -> (ResilientEstimate, Option<(usize, DagStats)>) {
     let k = store.max_size();
     let capped = opts.budget.max_k.map(|mk| mk.max(2));
     let mut cause = None;
@@ -107,7 +109,9 @@ pub(crate) fn estimate_resilient_with<S: PatternStore + ?Sized, C: IdCache>(
     };
     if within_cap {
         match estimate_dag_within(store, twig, estimator, opts, Some(&opts.budget), cache) {
-            Ok((value, ..)) => return ResilientEstimate::exact(value),
+            Ok((value, depth, stats)) => {
+                return (ResilientEstimate::exact(value), Some((depth, stats)))
+            }
             Err(fault) => cause = Some(fault),
         }
     }
@@ -119,22 +123,24 @@ pub(crate) fn estimate_resilient_with<S: PatternStore + ?Sized, C: IdCache>(
         let mut local = LocalIdCache::default();
         match estimate_fixed_dag(store, twig, k_eff, Some(&opts.budget), &mut local) {
             Ok((value, ..)) => {
-                return ResilientEstimate {
+                let est = ResilientEstimate {
                     value,
                     degradation: Degradation::ReducedK { k: k_eff },
                     cause,
-                }
+                };
+                return (est, None);
             }
             Err(fault) => cause = Some(fault),
         }
     }
 
     // Rung 3: the closed-form Markov product; never fails.
-    ResilientEstimate {
+    let est = ResilientEstimate {
         value: markov_estimate_store(store, twig),
         degradation: Degradation::Markov,
         cause,
-    }
+    };
+    (est, None)
 }
 
 /// First-order Markov (path-independence) estimate from levels 1–2:
@@ -336,7 +342,7 @@ mod tests {
                         reduced += 1;
                     }
                     for est in Estimator::ALL {
-                        let rung1 = estimate_resilient_with(
+                        let (rung1, _) = estimate_resilient_with(
                             summary,
                             twig,
                             est,

@@ -11,6 +11,10 @@
 //! Labels are written as fixed-width big-endian `u32`s, so label bytes can
 //! never be confused with the sentinels (`0x01` open, `0x02` close are legal
 //! label bytes but appear at fixed offsets within each node record).
+//!
+//! Every subtree is therefore one contiguous byte range, and every run of
+//! siblings is sorted. [`RemovalView`] uses both to write the encodings of
+//! a twig's decomposition operands straight from the twig's own bytes.
 
 use std::fmt;
 
@@ -302,6 +306,226 @@ impl KeyEncoder {
     }
 }
 
+/// One canonical encoding, indexed so that the encodings of its
+/// decomposition operands can be written without decoding it.
+///
+/// Lemma 1's operands of a twig `T` are `T − x` for a removable node `x`
+/// and `T − u − v` for a removable pair. Removing a leaf changes the
+/// encoding of its ancestors only, so the view copies every untouched
+/// subtree as a byte slice and re-emits just those ancestors. Each one
+/// re-inserts its changed child into its already-sorted run of siblings;
+/// at the lowest common ancestor of a removed pair there are two changed
+/// children. Removing a degree-1 root leaves its only child's subtree. The
+/// bytes written equal `key_of` of the operands that
+/// [`crate::ops::decompose_pair`] builds on the decoded twig.
+///
+/// Node ids are pre-order positions in the encoding, which are exactly the
+/// node ids of [`TwigKey::decode`]'s twig. One view is meant to be reused:
+/// [`RemovalView::load`] keeps every buffer's capacity.
+#[derive(Debug, Default)]
+pub struct RemovalView {
+    /// The loaded encoding.
+    bytes: Vec<u8>,
+    /// Per node: the byte range of its subtree's encoding.
+    spans: Vec<(u32, u32)>,
+    /// Per node: its parent, [`NO_PARENT`] for the root.
+    parents: Vec<u32>,
+    /// Removable nodes in [`crate::ops::removable_pairs`] order.
+    removable: Vec<TwigNodeId>,
+    /// Per node, for the operand being written: what becomes of it.
+    fates: Vec<Fate>,
+    /// Re-emitted encodings of the changed ancestors.
+    rebuilt: Vec<u8>,
+    /// Nodes still open while `load` parses.
+    open: Vec<u32>,
+}
+
+const NO_PARENT: u32 = u32::MAX;
+
+/// What becomes of one node of `T` in the operand being written.
+#[derive(Clone, Copy, Debug)]
+enum Fate {
+    /// Untouched: its subtree's bytes are copied as they are.
+    Kept,
+    /// One of the removed nodes.
+    Removed,
+    /// An ancestor of a removed node, not yet re-emitted.
+    Changed,
+    /// Re-emitted into `rebuilt[start..end]`.
+    Rebuilt(u32, u32),
+}
+
+impl RemovalView {
+    /// An empty view; [`load`](Self::load) an encoding before use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Indexes `bytes`, a canonical encoding (as produced by [`key_of`]),
+    /// replacing whatever the view held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes are not a valid canonical encoding.
+    pub fn load(&mut self, bytes: &[u8]) {
+        assert!(
+            bytes.len() >= 6 && bytes.len().is_multiple_of(6),
+            "corrupt twig key"
+        );
+        self.bytes.clear();
+        self.bytes.extend_from_slice(bytes);
+        self.spans.clear();
+        self.parents.clear();
+        self.open.clear();
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            match self.open.last() {
+                Some(&node) if bytes[pos] == CLOSE => {
+                    self.spans[node as usize].1 = (pos + 1) as u32;
+                    self.open.pop();
+                    pos += 1;
+                }
+                parent => {
+                    assert!(
+                        parent.is_some() || self.spans.is_empty(),
+                        "corrupt twig key"
+                    );
+                    assert_eq!(bytes.get(pos + 4), Some(&OPEN), "corrupt twig key");
+                    let parent = parent.copied().unwrap_or(NO_PARENT);
+                    self.open.push(self.spans.len() as u32);
+                    self.spans.push((pos as u32, 0));
+                    self.parents.push(parent);
+                    pos += 5;
+                }
+            }
+        }
+        assert!(self.open.is_empty(), "corrupt twig key");
+        // Leaves in pre-order, then a degree-1 root: `Twig::removable_nodes`
+        // on the decoded twig.
+        self.removable.clear();
+        for (node, &(start, end)) in self.spans.iter().enumerate() {
+            if end - start == 6 {
+                self.removable.push(node as TwigNodeId);
+            }
+        }
+        if self.spans.len() >= 2 && self.spans[1].1 + 1 == self.spans[0].1 {
+            self.removable.push(0);
+        }
+    }
+
+    /// The removable nodes, in the order [`crate::ops::removable_pairs`]
+    /// pairs them on the decoded twig: leaves in pre-order, then the root
+    /// if it has degree 1.
+    pub fn removable(&self) -> &[TwigNodeId] {
+        &self.removable
+    }
+
+    /// Appends the canonical encoding of `T − x` to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not removable or is the twig's only node.
+    pub fn write_minus_one(&mut self, x: TwigNodeId, out: &mut Vec<u8>) {
+        self.write_without(&[x], out);
+    }
+
+    /// Appends the canonical encoding of `T − u − v` to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u == v`, either node is not removable, or nothing would
+    /// be left.
+    pub fn write_minus_two(&mut self, u: TwigNodeId, v: TwigNodeId, out: &mut Vec<u8>) {
+        assert!(u != v, "decomposition nodes must differ");
+        self.write_without(&[u, v], out);
+    }
+
+    fn write_without(&mut self, removed: &[TwigNodeId], out: &mut Vec<u8>) {
+        let n = self.spans.len();
+        assert!(n > removed.len(), "nothing would be left");
+        self.fates.clear();
+        self.fates.resize(n, Fate::Kept);
+        for &x in removed {
+            assert!(self.removable.contains(&x), "node {x} is not removable");
+            self.fates[x as usize] = Fate::Removed;
+        }
+        for &x in removed {
+            let mut p = self.parents[x as usize];
+            while p != NO_PARENT && matches!(self.fates[p as usize], Fate::Kept) {
+                self.fates[p as usize] = Fate::Changed;
+                p = self.parents[p as usize];
+            }
+        }
+        // A removed degree-1 root hands the twig to its only child, which
+        // for three or more nodes is not itself a leaf.
+        let top = usize::from(matches!(self.fates[0], Fate::Removed));
+        self.rebuilt.clear();
+        // Children follow their parent in pre-order, so one descending
+        // sweep re-emits every changed node after its changed children.
+        for node in (top..n).rev() {
+            if matches!(self.fates[node], Fate::Changed) {
+                self.rebuild(node);
+            }
+        }
+        match self.fates[top] {
+            Fate::Kept => {
+                let (start, end) = self.spans[top];
+                out.extend_from_slice(&self.bytes[start as usize..end as usize]);
+            }
+            Fate::Rebuilt(start, end) => {
+                out.extend_from_slice(&self.rebuilt[start as usize..end as usize]);
+            }
+            Fate::Removed | Fate::Changed => unreachable!("the new root survives, re-emitted"),
+        }
+    }
+
+    /// Re-emits changed `node` into `rebuilt`: its label, then its kept
+    /// children's byte slices merged with its re-emitted children in sorted
+    /// order, skipping removed ones.
+    fn rebuild(&mut self, node: usize) {
+        let (start, end) = self.spans[node];
+        let first_child = node + 1;
+        let next_sibling =
+            |spans: &[(u32, u32)], c: usize| c + (spans[c].1 - spans[c].0) as usize / 6;
+        // At most two children changed: one per removed node below.
+        let mut changed = [(0u32, 0u32); 2];
+        let mut n_changed = 0;
+        let mut c = first_child;
+        while c < self.spans.len() && self.spans[c].0 < end {
+            if let Fate::Rebuilt(s, e) = self.fates[c] {
+                changed[n_changed] = (s, e);
+                n_changed += 1;
+            }
+            c = next_sibling(&self.spans, c);
+        }
+        let slice = |(s, e): (u32, u32)| s as usize..e as usize;
+        if n_changed == 2 && self.rebuilt[slice(changed[1])] < self.rebuilt[slice(changed[0])] {
+            changed.swap(0, 1);
+        }
+        let out_start = self.rebuilt.len();
+        self.rebuilt
+            .extend_from_slice(&self.bytes[start as usize..start as usize + 5]);
+        let mut next = 0;
+        let mut c = first_child;
+        while c < self.spans.len() && self.spans[c].0 < end {
+            if matches!(self.fates[c], Fate::Kept) {
+                let kept = &self.bytes[slice(self.spans[c])];
+                while next < n_changed && self.rebuilt[slice(changed[next])] < *kept {
+                    self.rebuilt.extend_from_within(slice(changed[next]));
+                    next += 1;
+                }
+                self.rebuilt.extend_from_slice(kept);
+            }
+            c = next_sibling(&self.spans, c);
+        }
+        for &range in &changed[next..n_changed] {
+            self.rebuilt.extend_from_within(slice(range));
+        }
+        self.rebuilt.push(CLOSE);
+        self.fates[node] = Fate::Rebuilt(out_start as u32, self.rebuilt.len() as u32);
+    }
+}
+
 /// Returns a structurally canonical copy of `twig`: same isomorphism class,
 /// children everywhere in canonical (sorted-encoding) order, nodes numbered
 /// in pre-order. Canonical twigs of isomorphic inputs are identical values.
@@ -559,5 +783,91 @@ mod tests {
         let k1 = key_of(&Twig::path(&[l[0], l[1]]));
         let k2 = key_of(&Twig::path(&[l[0], l[2]]));
         assert!(k1 < k2 || k2 < k1);
+    }
+
+    /// Random twigs of 3–12 nodes over a three-label alphabet, so that
+    /// equal-label siblings and identical sibling subtrees are common. A
+    /// third of them grow as near-chains and a third under a degree-1 root.
+    struct ArbTwig;
+
+    impl proptest::strategy::Strategy for ArbTwig {
+        type Value = Twig;
+
+        fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> Twig {
+            let n = 3 + rng.below(10) as u32;
+            let shape = rng.below(3);
+            let mut t = Twig::single(LabelId(rng.below(3) as u32));
+            for i in 1..n {
+                let parent = match shape {
+                    0 => rng.below(u64::from(i)) as u32,
+                    1 => i - 1 - rng.below(u64::from(i.min(2))) as u32,
+                    _ if i == 1 => 0,
+                    _ => 1 + rng.below(u64::from(i - 1)) as u32,
+                };
+                t.add_child(parent, LabelId(rng.below(3) as u32));
+            }
+            t
+        }
+    }
+
+    proptest::proptest! {
+        /// The view lists the removable nodes in `removable_pairs` order,
+        /// and for every pair the bytes it derives for `T − v`, `T − u` and
+        /// `T − u − v` equal the keys of `decompose_pair`'s operands.
+        #[test]
+        fn removal_view_derives_decompose_pair_operands(twig in ArbTwig) {
+            use crate::ops::{decompose_pair, removable_pairs};
+            let key = key_of(&twig);
+            let decoded = key.decode();
+            let mut view = RemovalView::new();
+            view.load(key.as_bytes());
+            proptest::prop_assert_eq!(view.removable().to_vec(), decoded.removable_nodes());
+            let r = view.removable().to_vec();
+            let mut view_pairs = Vec::new();
+            for i in 0..r.len() {
+                for j in i + 1..r.len() {
+                    view_pairs.push((r[i], r[j]));
+                }
+            }
+            proptest::prop_assert_eq!(&view_pairs, &removable_pairs(&decoded));
+            for (u, v) in view_pairs {
+                let d = decompose_pair(&decoded, u, v);
+                let want = [key_of(&d.t1), key_of(&d.t2), key_of(&d.t12)];
+                let mut got = [Vec::new(), Vec::new(), Vec::new()];
+                view.write_minus_one(v, &mut got[0]);
+                view.write_minus_one(u, &mut got[1]);
+                view.write_minus_two(u, v, &mut got[2]);
+                for (g, w) in got.iter().zip(&want) {
+                    proptest::prop_assert_eq!(g.as_slice(), w.as_bytes(), "pair ({}, {})", u, v);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn removal_view_appends_and_handles_the_smallest_twigs() {
+        let l = labels(2);
+        let mut view = RemovalView::new();
+        view.load(key_of(&Twig::single(l[0])).as_bytes());
+        assert_eq!(view.removable(), &[0]);
+        // a/b: both nodes removable, leaf first; each removal leaves one.
+        view.load(key_of(&Twig::path(&[l[0], l[1]])).as_bytes());
+        assert_eq!(view.removable(), &[1, 0]);
+        let mut out = vec![9u8];
+        view.write_minus_one(1, &mut out);
+        view.write_minus_one(0, &mut out);
+        let mut want = vec![9u8];
+        want.extend_from_slice(key_of(&Twig::single(l[0])).as_bytes());
+        want.extend_from_slice(key_of(&Twig::single(l[1])).as_bytes());
+        assert_eq!(out, want, "writes append");
+    }
+
+    #[test]
+    #[should_panic(expected = "not removable")]
+    fn removal_view_rejects_an_inner_node() {
+        let l = labels(3);
+        let mut view = RemovalView::new();
+        view.load(key_of(&Twig::path(&[l[0], l[1], l[2]])).as_bytes());
+        view.write_minus_one(1, &mut Vec::new());
     }
 }

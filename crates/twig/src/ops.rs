@@ -12,6 +12,12 @@
 //! * [`fixed_cover`] — Lemma 2's constructive pre-order covering of `T` by
 //!   `|T| − k + 1` overlapping k-subtrees, each sharing a (k-1)-subtree
 //!   with the part already covered.
+//!
+//! The pair operands here are built as [`Twig`]s, for the reference,
+//! explain, interval and oracle code. The production evaluator never
+//! builds them: it derives each operand's canonical bytes from its
+//! parent's with [`crate::canonical::RemovalView`], whose property test
+//! checks it against [`decompose_pair`].
 
 use crate::twig::{Twig, TwigNodeId};
 
@@ -55,81 +61,6 @@ pub fn decompose_pair(twig: &Twig, u: TwigNodeId, v: TwigNodeId) -> PairDecompos
     let keep: Vec<TwigNodeId> = twig.nodes().filter(|&n| n != u && n != v).collect();
     let t12 = twig.subtwig(&keep);
     PairDecomposition { t1, t2, t12 }
-}
-
-/// [`removable_pairs`] into caller-provided buffers (both cleared first):
-/// `nodes` receives the removable node set, `out` the unordered pairs in the
-/// same `(i, j < i)` enumeration order. The allocation-free twin for the
-/// iterative evaluator's expansion loop.
-pub fn removable_pairs_into(
-    twig: &Twig,
-    nodes: &mut Vec<TwigNodeId>,
-    out: &mut Vec<(TwigNodeId, TwigNodeId)>,
-) {
-    nodes.clear();
-    nodes.extend(twig.nodes().filter(|&n| twig.children(n).is_empty()));
-    if twig.len() >= 2 && twig.children(twig.root()).len() == 1 {
-        nodes.push(twig.root());
-    }
-    out.clear();
-    for i in 0..nodes.len() {
-        for j in (i + 1)..nodes.len() {
-            out.push((nodes[i], nodes[j]));
-        }
-    }
-}
-
-/// [`decompose_pair`] into caller-provided twigs, reusing their buffers.
-/// The operands are structurally identical to `decompose_pair`'s: all three
-/// are rebuilt by pre-order walks, so node numbering matches the allocating
-/// variant exactly.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`decompose_pair`].
-pub fn decompose_pair_into(
-    twig: &Twig,
-    u: TwigNodeId,
-    v: TwigNodeId,
-    t1: &mut Twig,
-    t2: &mut Twig,
-    t12: &mut Twig,
-) {
-    assert!(u != v, "decomposition nodes must differ");
-    assert!(twig.len() >= 3, "twig too small to decompose");
-    twig.remove_node_into(v, t1);
-    twig.remove_node_into(u, t2);
-    remove_two_into(twig, u, v, t12);
-}
-
-/// Rebuilds `twig − u − v` into `out` by one pre-order walk skipping both
-/// nodes. Both are removable in `twig` (leaves or a degree-1 root), so at
-/// most one of them is the root — and for `|T| ≥ 3` a degree-1 root's only
-/// child has children of its own, hence is never itself removable, so root
-/// promotion happens at most once.
-fn remove_two_into(twig: &Twig, u: TwigNodeId, v: TwigNodeId, out: &mut Twig) {
-    let old_root = twig.root();
-    let root = if u == old_root || v == old_root {
-        twig.children(old_root)[0]
-    } else {
-        old_root
-    };
-    debug_assert!(root != u && root != v, "double root promotion");
-    out.reset(twig.label(root));
-    let mut stack: Vec<(TwigNodeId, u32)> = Vec::with_capacity(twig.len());
-    for &c in twig.children(root).iter().rev() {
-        if c != u && c != v {
-            stack.push((c, 0));
-        }
-    }
-    while let Some((m, p)) = stack.pop() {
-        let id = out.add_child(p, twig.label(m));
-        for &c in twig.children(m).iter().rev() {
-            if c != u && c != v {
-                stack.push((c, id));
-            }
-        }
-    }
 }
 
 /// One step of the fix-sized covering scheme.
@@ -353,36 +284,6 @@ mod tests {
         let mut it = LabelInterner::new();
         let t = parse_twig(q, &mut it).unwrap();
         (t, it)
-    }
-
-    #[test]
-    fn into_variants_match_allocating_decomposition() {
-        for q in [
-            "a/b/c",
-            "a[b][c]",
-            "a[b[c][d]][e]",
-            "a[b][b]",
-            "a/b[c][c/d]",
-        ] {
-            let (t, _it) = twig(q);
-            let pairs = removable_pairs(&t);
-            let mut nodes_scratch = Vec::new();
-            let mut pairs_into = Vec::new();
-            removable_pairs_into(&t, &mut nodes_scratch, &mut pairs_into);
-            assert_eq!(pairs, pairs_into, "pair enumeration diverged for {q}");
-            let (mut t1, mut t2, mut t12) = (
-                Twig::single(t.label(0)),
-                Twig::single(t.label(0)),
-                Twig::single(t.label(0)),
-            );
-            for &(u, v) in &pairs {
-                let d = decompose_pair(&t, u, v);
-                decompose_pair_into(&t, u, v, &mut t1, &mut t2, &mut t12);
-                assert_eq!(t1, d.t1, "t1 diverged for {q} at ({u},{v})");
-                assert_eq!(t2, d.t2, "t2 diverged for {q} at ({u},{v})");
-                assert_eq!(t12, d.t12, "t12 diverged for {q} at ({u},{v})");
-            }
-        }
     }
 
     #[test]
