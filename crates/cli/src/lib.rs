@@ -814,7 +814,7 @@ fn cmd_estimate(
                 },
                 obs.shared(),
             );
-            engine.estimate_catalog(&catalog, &twig, estimator, &opts)
+            engine.estimate(&catalog, &twig, estimator, &opts)
         } else {
             treelattice::estimate_catalog(&catalog, &twig, estimator, &opts)
         };

@@ -54,11 +54,11 @@
 //! no operand is built as a [`Twig`] or encoded from one.
 //!
 //! The evaluator is generic over [`PatternStore`], so the same DAG runs
-//! against the in-memory summary, the eager file catalog, or the zero-copy
-//! mmap catalog (see [`crate::catalog`]).
+//! against the in-memory summary or the zero-copy mmap catalog (see
+//! [`crate::catalog`]).
 
 use tl_fault::{Budget, Fault};
-use tl_twig::canonical::{key_of, KeyEncoder, RemovalView};
+use tl_twig::canonical::{key_of, KeyEncoder, RemovalView, NODE_BYTES};
 use tl_twig::ops::{fixed_cover_with, CoverStrategy};
 use tl_twig::{Twig, TwigId, TwigInterner};
 use tl_xml::FxHashMap;
@@ -249,7 +249,8 @@ pub(crate) struct DagScratch {
     /// Canonical bytes of every node queued for expansion this evaluation.
     keys: Vec<u8>,
     encoder: KeyEncoder,
-    /// The encoded root of [`DagEvaluator::eval_twig`].
+    /// The canonical bytes of the root being estimated: the root probe's
+    /// (see [`estimate_dag_within`]) or [`DagEvaluator::eval_twig`]'s.
     root_key: Vec<u8>,
     operands: Operands,
     /// Evaluation order scratch for `evaluate`.
@@ -342,13 +343,16 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         Ok(self.resolved(root))
     }
 
-    /// [`eval_twig`](Self::eval_twig) for a root whose canonical `bytes`
-    /// were already encoded, interned to `id`, and looked up (missing) by
-    /// the caller's fast-path probe — the cache must see exactly one probe
-    /// per root either way.
-    fn eval_probed_root(&mut self, bytes: &[u8], id: TwigId) -> Result<f64, Fault> {
+    /// [`eval_twig`](Self::eval_twig) for a root whose canonical bytes the
+    /// caller's fast-path probe already encoded into the scratch's
+    /// `root_key`, interned to `id`, and looked up (missing) — the cache
+    /// must see exactly one probe per root either way.
+    fn eval_probed_root(&mut self, id: TwigId) -> Result<f64, Fault> {
         self.refs += 1;
-        let root = self.admit(bytes, 1, id, None)?;
+        let bytes = std::mem::take(&mut self.scratch.root_key);
+        let root = self.admit(&bytes, 1, id, None);
+        self.scratch.root_key = bytes;
+        let root = root?;
         self.build()?;
         self.evaluate()?;
         Ok(self.resolved(root))
@@ -378,7 +382,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         cached: Option<f64>,
     ) -> Result<u32, Fault> {
         let ix = u32::try_from(self.scratch.nodes.len()).expect("DAG node arena overflow");
-        let size = (bytes.len() / 6) as u32;
+        let size = (bytes.len() / NODE_BYTES) as u32;
         let state = if let Some(v) = cached {
             State::Resolved(v)
         } else {
@@ -506,7 +510,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             }
             let value = if cnt == 0 { 0.0 } else { sum / cnt as f64 };
             let node = &mut self.scratch.nodes[ix as usize];
-            self.meter.charge(node.size as usize * 6)?;
+            self.meter.charge(node.size as usize * NODE_BYTES)?;
             node.state = State::Resolved(value);
             self.cache.store(node.id, value);
         }
@@ -520,14 +524,6 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             State::Pending { .. } => unreachable!("operand evaluated before its dependent"),
         }
     }
-}
-
-thread_local! {
-    /// Scratch for the root-probe fast path: one pooled encoder and key
-    /// buffer reused across queries on this thread, so a repeat (or
-    /// store-answered) query is handled with zero allocations.
-    static PROBE_SCRATCH: std::cell::RefCell<(KeyEncoder, Vec<u8>)> =
-        std::cell::RefCell::new((KeyEncoder::new(), Vec::new()));
 }
 
 /// Estimates `twig` on the DAG with no budget: infallible. Returns
@@ -563,14 +559,14 @@ pub(crate) fn estimate_dag_within<C: IdCache, S: PatternStore + ?Sized>(
     let mut meter = Meter::new(budget);
     let k = store.max_size();
     match estimator {
-        Estimator::Recursive | Estimator::RecursiveVoting => PROBE_SCRATCH.with(|s| {
+        Estimator::Recursive | Estimator::RecursiveVoting => with_dag_scratch(|scratch| {
             // Probe the root before building anything: on a warm cache the
             // whole query resolves to one intern and one lookup, with no
             // arena, no expansion, and no allocation.
             meter.check_deadline()?;
-            let (enc, buf) = &mut *s.borrow_mut();
-            enc.encode_into(twig, buf);
-            let id = cache.intern(buf);
+            scratch.encoder.encode_into(twig, &mut scratch.root_key);
+            let root = &scratch.root_key;
+            let id = cache.intern(root);
             if let Some(v) = cache.lookup(id) {
                 // One reference, no node materialized: warm repeats raise
                 // the cross-query dedup ratio instead of diluting it.
@@ -579,25 +575,23 @@ pub(crate) fn estimate_dag_within<C: IdCache, S: PatternStore + ?Sized>(
             // Cold direct probe, mirroring `admit`'s resolution rules:
             // roots the store can answer (within-k exact counts, trivially
             // absent size ≤ 2 patterns) skip the arena machinery entirely.
-            match store.lookup_bytes(buf) {
+            match store.lookup_bytes(root) {
                 Lookup::Exact(c) => {
                     let v = c as f64;
-                    meter.charge(buf.len())?;
+                    meter.charge(root.len())?;
                     cache.store(id, v);
                     return Ok((v, 0, DagStats { nodes: 0, refs: 1 }));
                 }
-                Lookup::Derivable | Lookup::TooLarge if buf.len() / 6 <= 2 => {
-                    meter.charge(buf.len())?;
+                Lookup::Derivable | Lookup::TooLarge if root.len() / NODE_BYTES <= 2 => {
+                    meter.charge(root.len())?;
                     cache.store(id, 0.0);
                     return Ok((0.0, 0, DagStats { nodes: 0, refs: 1 }));
                 }
                 Lookup::Derivable | Lookup::TooLarge => {}
             }
-            with_dag_scratch(|scratch| {
-                let mut ev = DagEvaluator::new(store, cache, voting, cap, meter, scratch);
-                let value = ev.eval_probed_root(buf, id)?;
-                Ok((value, ev.max_depth, ev.stats()))
-            })
+            let mut ev = DagEvaluator::new(store, cache, voting, cap, meter, scratch);
+            let value = ev.eval_probed_root(id)?;
+            Ok((value, ev.max_depth, ev.stats()))
         }),
         Estimator::FixSized => estimate_fixed_dag(store, twig, k, budget, cache),
         Estimator::FixSizedVoting => with_dag_scratch(|scratch| {

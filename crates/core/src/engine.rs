@@ -61,7 +61,7 @@ use tl_fault::{failpoints, Fault};
 use tl_twig::{Twig, TwigId, TwigInterner};
 use tl_xml::FxHashMap;
 
-use crate::catalog::Catalog;
+use crate::catalog::{has_unknown_label, Catalog};
 use crate::dag::{estimate_dag, DagStats, IdCache};
 use crate::resilient::{estimate_resilient_with, ResilientEstimate};
 use crate::{EstimateOptions, Estimator, TreeLattice};
@@ -117,8 +117,8 @@ pub struct EngineStats {
     /// lookup guarantee.
     pub key_clone_bytes: u64,
     /// Pattern-store probes served by counting backends (the mmap catalog)
-    /// during `estimate_catalog` / `estimate_batch_catalog` calls on this
-    /// engine. In-memory backends are not metered and contribute 0.
+    /// during `estimate` / `estimate_batch` calls on this engine. In-memory
+    /// backends are not metered and contribute 0.
     pub catalog_lookups: u64,
 }
 
@@ -242,24 +242,13 @@ impl EstimationEngine {
         }
     }
 
-    /// Estimates one query through the shared cache. Returns exactly what
-    /// [`TreeLattice::estimate_with`] returns for the same inputs.
-    pub fn estimate(
-        &self,
-        lattice: &TreeLattice,
-        twig: &Twig,
-        estimator: Estimator,
-        opts: &EstimateOptions,
-    ) -> f64 {
-        self.estimate_catalog(lattice, twig, estimator, opts)
-    }
-
-    /// [`estimate`](Self::estimate) against any [`Catalog`] backend — the
-    /// in-memory lattice, an eagerly loaded file, or the zero-copy mmap
-    /// reader — through the same shared cache. Generations keep backends
-    /// apart: every opened catalog carries a fresh one, so cached values
-    /// never leak between stores.
-    pub fn estimate_catalog<C: Catalog + ?Sized>(
+    /// Estimates one query through the shared cache, against any
+    /// [`Catalog`] backend: the in-memory lattice or the zero-copy mmap
+    /// reader. Returns exactly what [`TreeLattice::estimate_with`] (or
+    /// [`crate::estimate_catalog`]) returns for the same inputs.
+    /// Generations keep backends apart: every opened catalog carries a
+    /// fresh one, so cached values never leak between stores.
+    pub fn estimate<C: Catalog + ?Sized>(
         &self,
         catalog: &C,
         twig: &Twig,
@@ -290,12 +279,7 @@ impl EstimationEngine {
         opts: &EstimateOptions,
         cache: &mut SharedIdCache<'_>,
     ) -> f64 {
-        // Same unknown-label guard as TreeLattice::estimate_with: a label
-        // the document never contained cannot match anything.
-        if twig
-            .nodes()
-            .any(|n| twig.label(n).index() >= catalog.labels().len())
-        {
+        if has_unknown_label(catalog, twig) {
             return 0.0;
         }
         let start = cache.recording.then(Instant::now);
@@ -317,70 +301,33 @@ impl EstimationEngine {
     }
 
     /// Estimates every twig in `batch`, in order, splitting the work over
-    /// the configured worker threads. Workers pull indices from a shared
-    /// atomic cursor, so an expensive query does not stall the others.
+    /// the configured worker threads, against any [`Catalog`] backend.
+    /// Workers pull indices from a shared atomic cursor, so an expensive
+    /// query does not stall the others. `Sync` because workers probe the
+    /// store concurrently — every backend qualifies (the mmap catalog's
+    /// lookup counter is atomic).
     ///
-    /// Results are bit-for-bit equal to calling
-    /// [`TreeLattice::estimate_with`] per twig, regardless of thread count.
-    pub fn estimate_batch(
-        &self,
-        lattice: &TreeLattice,
-        batch: &[Twig],
-        estimator: Estimator,
-        opts: &EstimateOptions,
-    ) -> Vec<f64> {
-        self.estimate_batch_catalog(lattice, batch, estimator, opts)
-    }
-
-    /// [`estimate_batch`](Self::estimate_batch) against any [`Catalog`]
-    /// backend. `Sync` because workers probe the store concurrently — every
-    /// backend qualifies (the mmap catalog's lookup counter is atomic).
-    pub fn estimate_batch_catalog<C: Catalog + Sync + ?Sized>(
+    /// Results are bit-for-bit equal to calling [`estimate`](Self::estimate)
+    /// per twig, regardless of thread count.
+    pub fn estimate_batch<C: Catalog + Sync + ?Sized>(
         &self,
         catalog: &C,
         batch: &[Twig],
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> Vec<f64> {
-        let _span = tl_obs::SpanGuard::start(&*self.rec, tl_obs::names::SPAN_BATCH);
-        let start = Instant::now();
         let probes_before = catalog.served_lookups();
-        let threads = self.effective_threads(batch.len());
         let generation = catalog.generation();
         let class = voting_class(estimator, opts);
-        let results: Vec<f64> = if threads <= 1 {
-            let mut cache = SharedIdCache::new(self, generation, class);
-            batch
-                .iter()
-                .map(|t| self.estimate_in(catalog, t, estimator, opts, &mut cache))
-                .collect()
-        } else {
-            let slots: Vec<AtomicU64> = batch.iter().map(|_| AtomicU64::new(0)).collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| {
-                        let mut cache = SharedIdCache::new(self, generation, class);
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(twig) = batch.get(i) else { break };
-                            let v = self.estimate_in(catalog, twig, estimator, opts, &mut cache);
-                            slots[i].store(v.to_bits(), Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|bits| f64::from_bits(bits.into_inner()))
-                .collect()
-        };
+        let results = self.run_batch(
+            batch.len(),
+            || SharedIdCache::new(self, generation, class),
+            |cache, i| self.estimate_in(catalog, &batch[i], estimator, opts, cache),
+        );
         self.catalog_lookups.fetch_add(
             catalog.served_lookups().saturating_sub(probes_before),
             Ordering::Relaxed,
         );
-        self.last_batch_nanos
-            .store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         results
     }
 
@@ -435,10 +382,7 @@ impl EstimationEngine {
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> ResilientEstimate {
-        if twig
-            .nodes()
-            .any(|n| twig.label(n).index() >= lattice.labels().len())
-        {
+        if has_unknown_label(lattice, twig) {
             return ResilientEstimate::exact(0.0);
         }
         // Rung 1 runs on the DAG through the shared shards, so its values
@@ -469,47 +413,61 @@ impl EstimationEngine {
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> Vec<Result<ResilientEstimate, Fault>> {
+        self.run_batch(
+            batch.len(),
+            || (),
+            |_, i| self.estimate_resilient(lattice, &batch[i], estimator, opts),
+        )
+    }
+
+    /// Runs `item` on every index of a batch of `len` and returns the
+    /// results in index order, over the configured worker threads. Workers
+    /// pull indices from a shared atomic cursor, so an expensive query does
+    /// not stall the others, and each carries one state from `init` through
+    /// all its items. Records the `engine.batch` span and the batch time.
+    fn run_batch<S, T: Send>(
+        &self,
+        len: usize,
+        init: impl Fn() -> S + Sync,
+        item: impl Fn(&mut S, usize) -> T + Sync,
+    ) -> Vec<T> {
         let _span = tl_obs::SpanGuard::start(&*self.rec, tl_obs::names::SPAN_BATCH);
         let start = Instant::now();
-        let threads = self.effective_threads(batch.len());
-        let results: Vec<Result<ResilientEstimate, Fault>> = if threads <= 1 {
-            batch
-                .iter()
-                .map(|t| self.estimate_resilient(lattice, t, estimator, opts))
-                .collect()
+        let threads = self.effective_threads(len);
+        let results = if threads <= 1 {
+            let mut state = init();
+            (0..len).map(|i| item(&mut state, i)).collect()
         } else {
             let cursor = AtomicUsize::new(0);
+            let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
+                let workers: Vec<_> = (0..threads)
                     .map(|_| {
                         scope.spawn(|| {
-                            let mut local = Vec::new();
+                            let mut state = init();
+                            let mut done = Vec::new();
                             loop {
                                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(twig) = batch.get(i) else { break };
-                                local.push((
-                                    i,
-                                    self.estimate_resilient(lattice, twig, estimator, opts),
-                                ));
+                                if i >= len {
+                                    break done;
+                                }
+                                done.push((i, item(&mut state, i)));
                             }
-                            local
                         })
                     })
                     .collect();
-                let mut slots: Vec<Option<Result<ResilientEstimate, Fault>>> =
-                    (0..batch.len()).map(|_| None).collect();
-                for handle in handles {
-                    // Workers contain estimation panics internally; a join
-                    // failure would mean the harness itself is broken.
-                    for (i, result) in handle.join().expect("resilient worker exited cleanly") {
+                for worker in workers {
+                    // The resilient path contains estimation panics itself;
+                    // a panic here propagates, as a plain estimate's would.
+                    for (i, result) in worker.join().expect("batch worker exited cleanly") {
                         slots[i] = Some(result);
                     }
                 }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("cursor visits every index"))
-                    .collect()
-            })
+            });
+            slots
+                .into_iter()
+                .map(|slot| slot.expect("cursor visits every index"))
+                .collect()
         };
         self.last_batch_nanos
             .store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -780,7 +738,7 @@ mod tests {
         for est in Estimator::ALL {
             let opts = EstimateOptions::default();
             let mem = engine.estimate_batch(&lat, &batch, est, &opts);
-            let via_mmap = engine.estimate_batch_catalog(&mmap, &batch, est, &opts);
+            let via_mmap = engine.estimate_batch(&mmap, &batch, est, &opts);
             for (q, (a, b)) in queries.iter().zip(mem.iter().zip(&via_mmap)) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{est} {q}");
             }

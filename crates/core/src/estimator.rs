@@ -20,9 +20,9 @@
 //! level re-derives the count recursively (Lemma 5).
 //!
 //! Both estimators run on one kernel, the iterative decomposition DAG of
-//! [`crate::dag`]; "recursing" above describes the mathematics, not the
-//! control flow. The plain entry points here run it without a budget; the
-//! budgeted ladder lives in [`crate::resilient`].
+//! the crate's `dag` module; "recursing" above describes the mathematics,
+//! not the control flow. The plain entry points here run it without a
+//! budget; the budgeted ladder lives in [`crate::resilient`].
 
 use tl_fault::Budget;
 use tl_twig::Twig;
@@ -106,7 +106,8 @@ impl Default for EstimateOptions {
 ///
 /// Returns a non-negative estimate; `0.0` means the summary proves (or the
 /// decomposition concludes) the query cannot match. Runs on the
-/// decomposition-DAG evaluator ([`crate::dag`]) with a throwaway id cache.
+/// decomposition-DAG evaluator (the crate's `dag` module) with a throwaway
+/// id cache.
 pub fn estimate(
     summary: &Summary,
     twig: &Twig,
@@ -121,13 +122,13 @@ pub fn estimate(
 /// than the summary's mined order. This is exactly the computation behind
 /// the `ReducedK` rung of the degradation ladder, run without a budget,
 /// exposed so test harnesses can reproduce a `Degradation::ReducedK { k }`
-/// value bit-for-bit. `_opts` is accepted for symmetry with [`estimate`]:
-/// the windows run non-voting, so no option changes the value.
+/// value bit-for-bit. It takes no options: the windows run non-voting, so
+/// no option changes the value.
 ///
 /// # Panics
 ///
 /// Panics unless `2 ≤ k ≤ |twig|` (the fix-sized cover's own bounds).
-pub fn estimate_fixed_at(summary: &Summary, twig: &Twig, k: usize, _opts: &EstimateOptions) -> f64 {
+pub fn estimate_fixed_at(summary: &Summary, twig: &Twig, k: usize) -> f64 {
     let mut cache = LocalIdCache::default();
     crate::dag::estimate_fixed_dag(summary, twig, k, None, &mut cache)
         .expect("unbudgeted estimation cannot fault")

@@ -43,8 +43,8 @@
 //! * [`mod@explain`] — human-readable decomposition traces (EXPLAIN for the
 //!   estimator);
 //! * [`serialize`] — versioned binary persistence of summaries;
-//! * [`catalog`] — swappable pattern-store backends: in-memory, eager file
-//!   load, and a zero-copy mmap reader serving lookups from frame bytes;
+//! * [`catalog`] — swappable pattern-store backends: in-memory, and a
+//!   zero-copy mmap reader serving lookups from frame bytes;
 //! * [`trie`] — a prefix-tree summary store kept for the §4.2 ablation.
 
 pub mod catalog;
@@ -67,10 +67,7 @@ use tl_twig::canonical::KeyEncoder;
 use tl_twig::{parse_twig, parse_twig_in, Twig, TwigKey, TwigParseError};
 use tl_xml::{DocIndex, Document, FxHashMap, LabelId, LabelInterner};
 
-pub use catalog::{
-    estimate_catalog, estimate_catalog_query, Catalog, CatalogError, FileCatalog, MmapCatalog,
-    PatternStore,
-};
+pub use catalog::{estimate_catalog, Catalog, CatalogError, MmapCatalog, PatternStore};
 pub use engine::{EngineConfig, EngineStats, EstimationEngine};
 pub use estimator::{estimate, estimate_fixed_at, EstimateOptions, Estimator};
 pub use explain::explain;
@@ -78,9 +75,7 @@ pub use interval::{estimate_interval, IntervalEstimate};
 pub use online::{TunedLattice, TunerStats};
 pub use pruning::{prune_derivable, PruneReport};
 pub use reference::ReferenceEngine;
-pub use resilient::{
-    estimate_resilient_catalog, markov_estimate, markov_estimate_store, ResilientEstimate,
-};
+pub use resilient::{estimate_resilient_catalog, markov_estimate, ResilientEstimate};
 pub use serialize::ReadError;
 pub use summary::{Lookup, Summary};
 pub use wal::{
@@ -327,14 +322,7 @@ impl TreeLattice {
 
     /// Estimates the selectivity of a twig with explicit options.
     pub fn estimate_with(&self, twig: &Twig, estimator: Estimator, opts: &EstimateOptions) -> f64 {
-        // A label the document never contained cannot match anything.
-        if twig
-            .nodes()
-            .any(|n| twig.label(n).index() >= self.labels.len())
-        {
-            return 0.0;
-        }
-        estimate(&self.summary, twig, estimator, opts)
+        estimate_catalog(self, twig, estimator, opts)
     }
 
     /// [`estimate_with`](TreeLattice::estimate_with), reporting per-query
@@ -348,10 +336,7 @@ impl TreeLattice {
         opts: &EstimateOptions,
         rec: &dyn tl_obs::Recorder,
     ) -> f64 {
-        if twig
-            .nodes()
-            .any(|n| twig.label(n).index() >= self.labels.len())
-        {
+        if catalog::has_unknown_label(self, twig) {
             return 0.0;
         }
         let start = rec.enabled().then(std::time::Instant::now);

@@ -129,27 +129,6 @@ impl TunedLattice {
         self.lattice.estimate(twig, estimator)
     }
 
-    /// Estimates with explicit options.
-    pub fn estimate_with(&self, twig: &Twig, estimator: Estimator, opts: &EstimateOptions) -> f64 {
-        self.lattice.estimate_with(twig, estimator, opts)
-    }
-
-    /// Estimates through a shared [`crate::engine::EstimationEngine`].
-    ///
-    /// Safe to combine with feedback: [`TunedLattice::observe`] replaces the
-    /// summary via [`TreeLattice::set_summary`], which assigns a fresh
-    /// generation, so sub-twig estimates the engine cached before the
-    /// observation can never be served afterwards.
-    pub fn estimate_engine(
-        &self,
-        engine: &crate::engine::EstimationEngine,
-        twig: &Twig,
-        estimator: Estimator,
-        opts: &EstimateOptions,
-    ) -> f64 {
-        engine.estimate(&self.lattice, twig, estimator, opts)
-    }
-
     /// Feeds back the true selectivity of an executed query.
     pub fn observe(&mut self, twig: &Twig, true_count: u64) {
         self.stats.observed += 1;
@@ -205,20 +184,6 @@ impl TunedLattice {
             self.stats.evicted += 1;
         }
         self.lattice.set_summary(summary);
-    }
-
-    /// Convenience: estimate, and if the caller already knows the truth
-    /// (e.g. the query was executed anyway), feed it back; returns the
-    /// pre-feedback estimate.
-    pub fn estimate_and_learn(
-        &mut self,
-        twig: &Twig,
-        estimator: Estimator,
-        true_count: u64,
-    ) -> f64 {
-        let est = self.estimate(twig, estimator);
-        self.observe(twig, true_count);
-        est
     }
 }
 
@@ -356,12 +321,12 @@ mod tests {
         let q = tuned.lattice().parse_query("a[b][c]").unwrap();
         let truth = tl_twig::count_matches(&doc, &q);
         // Warm the engine cache with the pre-feedback (wrong) estimate.
-        let before = tuned.estimate_engine(&engine, &q, Estimator::Recursive, &opts);
+        let before = engine.estimate(tuned.lattice(), &q, Estimator::Recursive, &opts);
         assert_ne!(before, truth as f64);
         tuned.observe(&q, truth);
         // The observation bumped the generation: the engine must now answer
         // from the corrected summary, not its cache.
-        let after = tuned.estimate_engine(&engine, &q, Estimator::Recursive, &opts);
+        let after = engine.estimate(tuned.lattice(), &q, Estimator::Recursive, &opts);
         assert_eq!(after, truth as f64);
     }
 
@@ -372,9 +337,11 @@ mod tests {
         let mut tuned = TunedLattice::new(lattice, 4096);
         let q = tuned.lattice().parse_query("a[b][c]").unwrap();
         let truth = tl_twig::count_matches(&doc, &q);
-        let first = tuned.estimate_and_learn(&q, Estimator::Recursive, truth);
+        let first = tuned.estimate(&q, Estimator::Recursive);
+        tuned.observe(&q, truth);
         assert_ne!(first, truth as f64);
-        let second = tuned.estimate_and_learn(&q, Estimator::Recursive, truth);
+        let second = tuned.estimate(&q, Estimator::Recursive);
+        tuned.observe(&q, truth);
         assert_eq!(second, truth as f64);
     }
 

@@ -6,10 +6,11 @@
 //! canonical byte strings, feeding the paper's estimators written as plain
 //! recursion (Figure 4, Lemma 1; Figure 5, Lemma 3). It is the only
 //! recursive estimator left in the crate — every production path runs the
-//! decomposition DAG ([`crate::dag`]) — and the DAG must stay bit-for-bit
-//! identical to it for every estimator and workload: the engine proptests,
-//! the `dag` unit tests and the `bench_decompose` harness all diff against
-//! it, and the harness reports the production path's speedup over it.
+//! decomposition DAG (the crate's `dag` module) — and the DAG must stay
+//! bit-for-bit identical to it for every estimator and workload: the engine
+//! proptests, the `dag` unit tests and the `bench_decompose` harness all
+//! diff against it, and the harness reports the production path's speedup
+//! over it.
 //!
 //! Semantics and costs mirror the superseded engine faithfully: the same
 //! unknown-label guard, the same `(generation, voting class, key)` cache

@@ -21,12 +21,12 @@
 //!    beyond one pair twig, cannot trip; the ladder therefore always
 //!    terminates.
 //!
-//! Rungs 1 and 2 run on the decomposition DAG ([`crate::dag`]) with the
-//! budget attached: the deadline is checked before every root probe
+//! Rungs 1 and 2 run on the decomposition DAG (the crate's `dag` module)
+//! with the budget attached: the deadline is checked before every root probe
 //! (each fix-sized window included) and before each DAG node is expanded
 //! or evaluated, and the memory cap is charged key bytes + 32 for every
 //! node resolved other than from the cache. The ladder is generic over
-//! the pattern store, so the in-memory, file and mmap backends all run it.
+//! the pattern store, so the in-memory and mmap backends both run it.
 //!
 //! This mirrors the fall-back-to-weaker-model stance of the TreeSketch and
 //! Markov-table baselines: each rung is itself a published estimator, just
@@ -36,10 +36,10 @@ use tl_fault::{Degradation, Fault};
 use tl_twig::canonical::key_of;
 use tl_twig::{Twig, TwigKey};
 
-use crate::catalog::{Catalog, PatternStore};
+use crate::catalog::{has_unknown_label, Catalog, PatternStore};
 use crate::dag::{estimate_dag_within, estimate_fixed_dag, DagStats, IdCache, LocalIdCache};
 use crate::estimator::{EstimateOptions, Estimator};
-use crate::summary::{Lookup, Summary};
+use crate::summary::Lookup;
 
 /// A selectivity estimate that always exists, tagged with how it was
 /// obtained.
@@ -76,11 +76,7 @@ pub fn estimate_resilient_catalog<S: Catalog + ?Sized>(
     estimator: Estimator,
     opts: &EstimateOptions,
 ) -> ResilientEstimate {
-    // A label the document never contained cannot match anything.
-    if twig
-        .nodes()
-        .any(|n| twig.label(n).index() >= catalog.labels().len())
-    {
+    if has_unknown_label(catalog, twig) {
         return ResilientEstimate::exact(0.0);
     }
     estimate_resilient_with(catalog, twig, estimator, opts, &mut LocalIdCache::default()).0
@@ -136,7 +132,7 @@ pub(crate) fn estimate_resilient_with<S: PatternStore + ?Sized, C: IdCache>(
 
     // Rung 3: the closed-form Markov product; never fails.
     let est = ResilientEstimate {
-        value: markov_estimate_store(store, twig),
+        value: markov_estimate(store, twig),
         degradation: Degradation::Markov,
         cause,
     };
@@ -144,22 +140,16 @@ pub(crate) fn estimate_resilient_with<S: PatternStore + ?Sized, C: IdCache>(
 }
 
 /// First-order Markov (path-independence) estimate from levels 1–2:
-/// `s(root) · Π_{edges (u,v)} s(u/v) / s(u)`.
+/// `s(root) · Π_{edges (u,v)} s(u/v) / s(u)`, against any [`PatternStore`]
+/// backend.
 ///
 /// Public because it is rung 3 of the ladder: a [`Degradation::Markov`]
 /// result must be bit-for-bit reproducible by calling this directly, and
-/// the test suite asserts exactly that.
-pub fn markov_estimate(summary: &Summary, twig: &Twig) -> f64 {
-    markov_estimate_store(summary, twig)
-}
-
-/// [`markov_estimate`] against any [`PatternStore`] backend.
-///
-/// The closed form only touches levels 1–2, which every backend serves by
-/// key bytes, so the server can answer overload sheds with the same rung-3
-/// value whether its summary is in memory, file-loaded, or mmapped —
-/// bit-for-bit equal across backends by the store-identity contract.
-pub fn markov_estimate_store<S: PatternStore + ?Sized>(store: &S, twig: &Twig) -> f64 {
+/// the test suite asserts exactly that. The closed form only touches
+/// levels 1–2, which every backend serves by key bytes, so the server
+/// answers overload sheds with the same rung-3 value whether its summary
+/// is in memory or mmapped.
+pub fn markov_estimate<S: PatternStore + ?Sized>(store: &S, twig: &Twig) -> f64 {
     let count = |key: &TwigKey| -> f64 {
         match store.lookup_bytes(key.as_bytes()) {
             Lookup::Exact(c) => c as f64,
@@ -336,7 +326,7 @@ mod tests {
                 for (i, twig) in twigs.iter().enumerate() {
                     let ctx = format!("seed {seed}, pruned {pruned}, twig {i}");
                     for k_eff in 2..lattice.k() {
-                        let dag = estimate_fixed_at(summary, twig, k_eff, &opts);
+                        let dag = estimate_fixed_at(summary, twig, k_eff);
                         let reference = reference_fixed_at(summary, twig, k_eff);
                         assert_eq!(dag.to_bits(), reference.to_bits(), "{ctx}, k {k_eff}");
                         reduced += 1;

@@ -1,4 +1,5 @@
-//! Binary (de)serialization of a [`TreeLattice`] summary.
+//! Binary (de)serialization of a [`TreeLattice`] summary, and the one
+//! reader of its frame.
 //!
 //! The summary is the artifact a query optimizer ships and loads at startup,
 //! so it has a compact, versioned, self-describing binary format with an
@@ -12,29 +13,45 @@
 //!     entries (u16 key-len, key bytes, u64 count)*
 //! ```
 //!
-//! All integers are little-endian. The frame makes truncation and
-//! bit-flips detectable *before* structural parsing: a length mismatch or
-//! checksum failure is reported as [`ReadError::Corrupt`] without touching
-//! the payload decoder. Structural validation (label references, key
-//! sizes, level placement) still runs afterwards as defense in depth
-//! against crafted files whose checksum is valid. Every failure is a typed
-//! error — never a panic — and converts to
+//! All integers are little-endian. [`to_bytes`] sorts each level's entries
+//! by key bytes, so equal summaries serialize to equal bytes and every
+//! level's records have one fixed stride, `2 + NODE_BYTES·size + 8`.
+//!
+//! `Frame::read` is the only walk over a serialized frame. Both backends
+//! that open one go through it: [`from_bytes`] fills the in-memory hash
+//! tables from the directory it returns, and [`crate::MmapCatalog`] keeps
+//! that directory over its mapping. So both accept exactly the same files
+//! and reject every other with the same [`ReadError`]. It checks, in order:
+//!
+//! 1. magic, version, payload length, then the CRC-32 of the payload —
+//!    truncation and bit flips fail here, before any structural parsing;
+//! 2. the label table: lengths in bounds, names valid UTF-8;
+//! 3. each level's records: a length prefix equal to the level's key
+//!    width, keys in strictly ascending byte order (no duplicates; the
+//!    order a binary search needs), and every key a well-formed canonical
+//!    encoding whose labels are in the table
+//!    ([`tl_twig::canonical::check_encoding`]);
+//! 4. nothing after the last level.
+//!
+//! Steps 2–4 are defense in depth against crafted files whose checksum is
+//! valid. Every failure is a typed error — never a panic — and converts to
 //! [`tl_fault::FaultKind::CorruptSummary`] via `From<ReadError> for Fault`.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use tl_fault::{failpoints, Fault, FaultKind};
+use tl_twig::canonical::{check_encoding, NODE_BYTES};
 use tl_twig::TwigKey;
 use tl_xml::{FxHashMap, LabelInterner};
 
 use crate::summary::Summary;
 use crate::TreeLattice;
 
-pub(crate) const MAGIC: &[u8; 4] = b"TLAT";
+const MAGIC: &[u8; 4] = b"TLAT";
 /// Version 2 introduced the crc32 + length integrity frame; version-1
 /// files (no frame) are no longer readable and re-serialize on upgrade.
-pub(crate) const VERSION: u8 = 2;
+const VERSION: u8 = 2;
 /// Bytes before the payload: magic, version, crc32, payload length.
-pub(crate) const HEADER_LEN: usize = 4 + 1 + 4 + 8;
+const HEADER_LEN: usize = 4 + 1 + 4 + 8;
 
 /// Deserialization failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -146,123 +163,209 @@ pub fn to_bytes(lattice: &TreeLattice) -> Vec<u8> {
     out
 }
 
-/// Parses a serialized lattice, verifying the integrity frame first.
+/// Parses a serialized lattice: the frame reader's checks (see the module
+/// docs), then one hash table per level filled from the frame's records.
 pub fn from_bytes(input: &[u8]) -> Result<TreeLattice, ReadError> {
-    if input.len() < 4 || &input[..4] != MAGIC {
+    // Chaos hook: once the header and length check out, flip one payload
+    // byte before the checksum runs, asserting that it catches single-bit
+    // corruption end to end.
+    let payload_len = payload(input)?.len();
+    let corrupted;
+    let input = if failpoints::fire(failpoints::sites::SUMMARY_CORRUPT) && payload_len > 0 {
+        let mut copy = input.to_vec();
+        copy[HEADER_LEN + payload_len / 2] ^= 0x01;
+        corrupted = copy;
+        &corrupted[..]
+    } else {
+        input
+    };
+    let frame = Frame::read(input)?;
+    let mut levels: Vec<FxHashMap<TwigKey, u64>> = Vec::with_capacity(frame.levels.len());
+    for level in &frame.levels {
+        let mut map = FxHashMap::default();
+        for i in 0..level.entries {
+            map.insert(
+                TwigKey::from_raw(level.key(input, i).into()),
+                level.count(input, i),
+            );
+        }
+        levels.push(map);
+    }
+    let pruned = frame.levels.iter().map(|level| level.pruned).collect();
+    Ok(TreeLattice::from_parts(
+        frame.labels,
+        Summary::from_parts(levels, pruned),
+    ))
+}
+
+/// A frame that passed every check of [`Frame::read`]: its label table and
+/// where each level's records sit in the frame bytes.
+pub(crate) struct Frame {
+    pub(crate) labels: LabelInterner,
+    /// One entry per pattern size, from 1 up to the summary's order `k`.
+    pub(crate) levels: Vec<Level>,
+}
+
+/// Where one level's records sit in a checked frame. Records share one
+/// stride and are sorted by key bytes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Level {
+    /// Byte offset of the first record in the frame.
+    start: usize,
+    /// Record count.
+    pub(crate) entries: usize,
+    /// Key bytes per record: [`NODE_BYTES`] per node of the level's size.
+    key_len: usize,
+    /// δ-pruning flag: a miss derives instead of meaning zero.
+    pub(crate) pruned: bool,
+}
+
+impl Level {
+    /// Bytes per record: the u16 length prefix, the key, the u64 count.
+    #[inline]
+    fn stride(&self) -> usize {
+        2 + self.key_len + 8
+    }
+
+    /// The key of record `i`, in the frame `bytes` this level was read from.
+    #[inline]
+    fn key<'b>(&self, bytes: &'b [u8], i: usize) -> &'b [u8] {
+        let at = self.start + i * self.stride() + 2;
+        &bytes[at..at + self.key_len]
+    }
+
+    /// The count of record `i`.
+    #[inline]
+    fn count(&self, bytes: &[u8], i: usize) -> u64 {
+        let at = self.start + i * self.stride() + 2 + self.key_len;
+        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+    }
+
+    /// The count stored under `key`: a binary search over the sorted
+    /// records, borrowing the frame `bytes`.
+    pub(crate) fn find(&self, bytes: &[u8], key: &[u8]) -> Option<u64> {
+        let (mut lo, mut hi) = (0usize, self.entries);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.key(bytes, mid).cmp(key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(self.count(bytes, mid)),
+            }
+        }
+        None
+    }
+}
+
+impl Frame {
+    /// Checks all of `bytes` (see the module docs for what, in which order)
+    /// and returns the label table and the level directory, whose offsets
+    /// index `bytes`. Allocates for the label table and the directory only,
+    /// however many records the frame holds.
+    pub(crate) fn read(bytes: &[u8]) -> Result<Frame, ReadError> {
+        let payload = payload(bytes)?;
+        let expected_crc = u32::from_le_bytes(bytes[5..9].try_into().expect("4 bytes"));
+        if crc32(payload) != expected_crc {
+            return Err(ReadError::Corrupt("checksum mismatch"));
+        }
+        let mut cur = Cursor {
+            bytes,
+            pos: HEADER_LEN,
+        };
+        let n_labels = u32::from_le_bytes(cur.take(4, "label count")?.try_into().expect("4 bytes"));
+        let mut labels = LabelInterner::new();
+        for _ in 0..n_labels {
+            let len = u16::from_le_bytes(cur.take(2, "label length")?.try_into().expect("2 bytes"));
+            let name = cur.take(len as usize, "label bytes")?;
+            labels.intern(std::str::from_utf8(name).map_err(|_| ReadError::BadLabel)?);
+        }
+        let k = cur.take(1, "summary order")?[0] as usize;
+        let mut levels = Vec::with_capacity(k);
+        for size in 1..=k {
+            let header = cur.take(5, "level header")?;
+            let level = Level {
+                start: cur.pos,
+                entries: u32::from_le_bytes(header[1..].try_into().expect("4 bytes")) as usize,
+                key_len: size * NODE_BYTES,
+                pruned: header[0] != 0,
+            };
+            let total = level
+                .entries
+                .checked_mul(level.stride())
+                .ok_or(ReadError::Truncated("level records"))?;
+            cur.take(total, "level records")?;
+            let mut prev: Option<&[u8]> = None;
+            for i in 0..level.entries {
+                let at = level.start + i * level.stride();
+                if u16::from_le_bytes([bytes[at], bytes[at + 1]]) as usize != level.key_len {
+                    return Err(ReadError::BadKey);
+                }
+                let key = level.key(bytes, i);
+                if prev.is_some_and(|p| p >= key) {
+                    return Err(ReadError::Corrupt("records out of canonical order"));
+                }
+                check_encoding(key, labels.len()).ok_or(ReadError::BadKey)?;
+                prev = Some(key);
+            }
+            levels.push(level);
+        }
+        if cur.pos != bytes.len() {
+            return Err(ReadError::Corrupt("trailing bytes after the last level"));
+        }
+        Ok(Frame { labels, levels })
+    }
+}
+
+/// A read position in a frame; every read is bounds-checked.
+struct Cursor<'b> {
+    bytes: &'b [u8],
+    pos: usize,
+}
+
+impl<'b> Cursor<'b> {
+    /// The next `n` bytes, or `Truncated(what)` if the frame ends first.
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'b [u8], ReadError> {
+        let field = self
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.bytes.get(self.pos..end))
+            .ok_or(ReadError::Truncated(what))?;
+        self.pos += n;
+        Ok(field)
+    }
+}
+
+/// The payload of `bytes`, once magic, version and length check out. Its
+/// checksum is not verified yet.
+fn payload(bytes: &[u8]) -> Result<&[u8], ReadError> {
+    if bytes.len() < 4 || &bytes[..4] != MAGIC {
         return Err(ReadError::BadMagic);
     }
-    if input.len() < 5 {
+    let Some(&version) = bytes.get(4) else {
         return Err(ReadError::Truncated("version"));
-    }
-    let version = input[4];
+    };
     if version != VERSION {
         return Err(ReadError::BadVersion(version));
     }
-    if input.len() < HEADER_LEN {
+    if bytes.len() < HEADER_LEN {
         return Err(ReadError::Truncated("integrity frame"));
     }
-    let expected_crc = u32::from_le_bytes(input[5..9].try_into().expect("4 bytes"));
-    let expected_len = u64::from_le_bytes(input[9..HEADER_LEN].try_into().expect("8 bytes"));
-    let payload = &input[HEADER_LEN..];
+    let expected_len = u64::from_le_bytes(bytes[9..HEADER_LEN].try_into().expect("8 bytes"));
+    let payload = &bytes[HEADER_LEN..];
     if (payload.len() as u64) < expected_len {
         return Err(ReadError::Truncated("payload"));
     }
     if payload.len() as u64 > expected_len {
         return Err(ReadError::Corrupt("trailing bytes after payload"));
     }
-    // Chaos hook: flip one payload byte *before* verification, asserting
-    // the checksum actually catches single-bit corruption end to end.
-    let corrupted;
-    let payload = if failpoints::fire(failpoints::sites::SUMMARY_CORRUPT) && !payload.is_empty() {
-        let mut copy = payload.to_vec();
-        let mid = copy.len() / 2;
-        copy[mid] ^= 0x01;
-        corrupted = copy;
-        &corrupted[..]
-    } else {
-        payload
-    };
-    if crc32(payload) != expected_crc {
-        return Err(ReadError::Corrupt("checksum mismatch"));
-    }
-    parse_payload(payload)
-}
-
-/// Parses the structural payload (everything after the frame).
-fn parse_payload(mut input: &[u8]) -> Result<TreeLattice, ReadError> {
-    let buf = &mut input;
-    if buf.remaining() < 4 {
-        return Err(ReadError::Truncated("label count"));
-    }
-    let n_labels = buf.get_u32_le() as usize;
-    let mut labels = LabelInterner::new();
-    for _ in 0..n_labels {
-        if buf.remaining() < 2 {
-            return Err(ReadError::Truncated("label length"));
-        }
-        let len = buf.get_u16_le() as usize;
-        if buf.remaining() < len {
-            return Err(ReadError::Truncated("label bytes"));
-        }
-        let bytes = buf.copy_to_bytes(len);
-        let name = std::str::from_utf8(&bytes).map_err(|_| ReadError::BadLabel)?;
-        labels.intern(name);
-    }
-    if buf.remaining() < 1 {
-        return Err(ReadError::Truncated("summary order"));
-    }
-    let k = buf.get_u8() as usize;
-    let mut levels: Vec<FxHashMap<TwigKey, u64>> = Vec::with_capacity(k);
-    let mut pruned: Vec<bool> = Vec::with_capacity(k);
-    for size in 1..=k {
-        if buf.remaining() < 5 {
-            return Err(ReadError::Truncated("level header"));
-        }
-        pruned.push(buf.get_u8() != 0);
-        let n = buf.get_u32_le() as usize;
-        let mut level = FxHashMap::default();
-        for _ in 0..n {
-            if buf.remaining() < 2 {
-                return Err(ReadError::Truncated("key length"));
-            }
-            let len = buf.get_u16_le() as usize;
-            if buf.remaining() < len + 8 {
-                return Err(ReadError::Truncated("key bytes"));
-            }
-            let key_bytes = buf.copy_to_bytes(len).to_vec();
-            let count = buf.get_u64_le();
-            let key = validate_key(&key_bytes, size, labels.len())?;
-            level.insert(key, count);
-        }
-        levels.push(level);
-    }
-    Ok(TreeLattice::from_parts(
-        labels,
-        Summary::from_parts(levels, pruned),
-    ))
-}
-
-/// Validates raw key bytes: decodable, right node count, known labels.
-fn validate_key(bytes: &[u8], expected_size: usize, n_labels: usize) -> Result<TwigKey, ReadError> {
-    if bytes.len() != expected_size * 6 {
-        return Err(ReadError::BadKey);
-    }
-    let key = TwigKey::from_raw(bytes.to_vec().into_boxed_slice());
-    let twig = key.try_decode().ok_or(ReadError::BadKey)?;
-    if twig.len() != expected_size {
-        return Err(ReadError::BadKey);
-    }
-    if twig.nodes().any(|n| twig.label(n).index() >= n_labels) {
-        return Err(ReadError::BadKey);
-    }
-    Ok(key)
+    Ok(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use tl_xml::{parse_document, ParseOptions};
 
-    use crate::{BuildConfig, TreeLattice};
+    use crate::{BuildConfig, CatalogError, MmapCatalog, TreeLattice};
 
     use super::*;
 
@@ -273,6 +376,43 @@ mod tests {
         )
         .unwrap();
         TreeLattice::build(&doc, &BuildConfig::with_k(3))
+    }
+
+    /// Both readers' verdicts on `bytes`: `from_bytes`'s, and that of
+    /// `MmapCatalog::open` on a file holding them. `name` keeps concurrent
+    /// tests' files apart.
+    fn both_readers(bytes: &[u8], name: &str) -> [Result<(), ReadError>; 2] {
+        let path = std::env::temp_dir().join(format!(
+            "tl-serialize-test-{}-{name}.tlat",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let mapped = match MmapCatalog::open(&path) {
+            Ok(_) => Ok(()),
+            Err(CatalogError::Corrupt(e)) => Err(e),
+            Err(CatalogError::Io(e)) => panic!("{name}: cannot open the test file: {e}"),
+        };
+        std::fs::remove_file(&path).unwrap();
+        [from_bytes(bytes).map(drop), mapped]
+    }
+
+    /// Where the level-1 records start in a frame of `lat`, after the
+    /// label table, `k` and the level-1 header.
+    fn level_one_records(bytes: &[u8], lat: &TreeLattice) -> usize {
+        let mut at = HEADER_LEN + 4;
+        for _ in 0..lat.labels().len() {
+            at += 2 + u16::from_le_bytes([bytes[at], bytes[at + 1]]) as usize;
+        }
+        at + 1 + 1 + 4
+    }
+
+    /// Re-stamps the payload length and checksum after an edit, as a
+    /// crafted file would.
+    fn restamp(bytes: &mut [u8]) {
+        let len = (bytes.len() - HEADER_LEN) as u64;
+        bytes[9..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&bytes[HEADER_LEN..]);
+        bytes[5..9].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -332,8 +472,9 @@ mod tests {
         let _fp = tl_fault::failpoints::shared();
         let bytes = to_bytes(&sample_lattice());
         for cut in 0..bytes.len() {
-            let res = from_bytes(&bytes[..cut]);
-            assert!(res.is_err(), "prefix of {cut} bytes must not parse");
+            let [read, mapped] = both_readers(&bytes[..cut], "prefix");
+            assert!(read.is_err(), "prefix of {cut} bytes must not parse");
+            assert_eq!(read, mapped, "prefix of {cut} bytes");
         }
         assert!(from_bytes(&bytes).is_ok());
     }
@@ -344,16 +485,65 @@ mod tests {
         // The frame guarantees *any* one-byte corruption fails typed:
         // magic/version flips hit their checks, header flips break the
         // crc or length match, payload flips break the checksum.
+        // Both backends' readers must reject each with the same error.
         let bytes = to_bytes(&sample_lattice());
         for i in 0..bytes.len() {
             for flip in [0x01u8, 0x80] {
                 let mut corrupt = bytes.clone();
                 corrupt[i] ^= flip;
+                let [read, mapped] = both_readers(&corrupt, "flip");
                 assert!(
-                    from_bytes(&corrupt).is_err(),
+                    read.is_err(),
                     "flip 0x{flip:02x} at byte {i} must not parse"
                 );
+                assert_eq!(read, mapped, "flip 0x{flip:02x} at byte {i}");
             }
+        }
+    }
+
+    #[test]
+    fn crafted_frames_with_valid_checksums_fail_alike_on_both_readers() {
+        let _fp = tl_fault::failpoints::shared();
+        let lat = sample_lattice();
+        let good = to_bytes(&lat);
+        let records = level_one_records(&good, &lat);
+        let count_at = records - 4;
+        let n = u32::from_le_bytes(good[count_at..records].try_into().unwrap()) as usize;
+        assert!(n >= 2, "need two level-1 records");
+        let stride = 2 + NODE_BYTES + 8;
+        assert_eq!(both_readers(&good, "good"), [Ok(()), Ok(())]);
+
+        // One byte after the last level.
+        let mut extra = good.clone();
+        extra.push(0);
+        restamp(&mut extra);
+        // The first level-1 record again, with count 999.
+        let mut repeated = good.clone();
+        let mut copy = good[records..records + stride].to_vec();
+        copy[2 + NODE_BYTES..].copy_from_slice(&999u64.to_le_bytes());
+        repeated.splice(records + stride..records + stride, copy);
+        repeated[count_at..records].copy_from_slice(&(n as u32 + 1).to_le_bytes());
+        restamp(&mut repeated);
+        // The first two level-1 records swapped.
+        let mut swapped = good.clone();
+        swapped[records..records + 2 * stride].rotate_left(stride);
+        restamp(&mut swapped);
+        // A level-1 key naming a label past the table.
+        let mut unknown = good.clone();
+        let label = u32::try_from(lat.labels().len()).unwrap();
+        unknown[records + 2..records + 6].copy_from_slice(&label.to_be_bytes());
+        restamp(&mut unknown);
+
+        let trailing = ReadError::Corrupt("trailing bytes after the last level");
+        let unordered = ReadError::Corrupt("records out of canonical order");
+        for (name, frame, want) in [
+            ("extra", extra, trailing),
+            ("repeated", repeated, unordered.clone()),
+            ("swapped", swapped, unordered),
+            ("unknown", unknown, ReadError::BadKey),
+        ] {
+            let want = Err(want);
+            assert_eq!(both_readers(&frame, name), [want.clone(), want], "{name}");
         }
     }
 

@@ -11,7 +11,7 @@
 //! * miss on a **pruned** level ⇒ unknown — the estimator re-derives the
 //!   value by decomposition (Lemma 5).
 
-use tl_twig::canonical::key_of;
+use tl_twig::canonical::{key_of, NODE_BYTES};
 use tl_twig::{Twig, TwigKey};
 use tl_xml::FxHashMap;
 
@@ -127,7 +127,7 @@ impl Summary {
     /// are probed through `TwigKey`'s `Borrow<[u8]>` bridge. This is the
     /// lookup the interner-backed evaluation DAG uses on every node.
     pub fn lookup_bytes(&self, bytes: &[u8]) -> Lookup {
-        let size = bytes.len() / 6;
+        let size = bytes.len() / NODE_BYTES;
         if size == 0 || size > self.levels.len() {
             return Lookup::TooLarge;
         }

@@ -13,7 +13,7 @@
 //!    finishing request hands it a slot in weighted-fair order. If the
 //!    lane is full (or the server is draining), the request is **shed**:
 //!    the thread answers immediately with the closed-form Markov
-//!    estimate ([`treelattice::markov_estimate_store`]) tagged
+//!    estimate ([`treelattice::markov_estimate`]) tagged
 //!    [`Degradation::Markov`] and a cause fault naming the refusal — the
 //!    [`treelattice::ResilientEstimate`] contract, so overload is never
 //!    an untyped error and never silence.
@@ -41,7 +41,7 @@ use tl_obs::{names, MetricsRecorder, Recorder};
 use tl_twig::canonical::key_of;
 use tl_twig::{parse_twig_in, Twig, TwigParseError};
 use treelattice::{
-    estimate_resilient_catalog, markov_estimate_store, Catalog, DurabilityPolicy, DurableLattice,
+    estimate_resilient_catalog, markov_estimate, Catalog, DurabilityPolicy, DurableLattice,
     DurableOptions, EngineConfig, EstimateOptions, EstimationEngine, Estimator, Lookup,
     MmapCatalog, PatternStore, ResilientEstimate, TreeLattice, TunedLattice,
 };
@@ -186,10 +186,8 @@ impl Backend {
     /// the store-identity contract.
     fn markov(&self, twig: &Twig) -> f64 {
         match self {
-            Backend::Memory { store, .. } => {
-                markov_estimate_store(store.read().tuned().lattice(), twig)
-            }
-            Backend::Mmap { catalog } => markov_estimate_store(catalog, twig),
+            Backend::Memory { store, .. } => markov_estimate(store.read().tuned().lattice(), twig),
+            Backend::Mmap { catalog } => markov_estimate(catalog, twig),
         }
     }
 
@@ -522,8 +520,8 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, refuse new admissions, wait (up
-    /// to [`DRAIN_DEADLINE`]) until no execution slot is held and no
-    /// request is parked, join the listener, then — on a durable backend
+    /// to 10 s) until no execution slot is held and no request is parked,
+    /// join the listener, then — on a durable backend
     /// — flush the WAL and publish a final snapshot. The wait comes first
     /// so that no update admitted before the drain appends to the WAL
     /// after the final snapshot has truncated it. An error from the

@@ -13,7 +13,7 @@ use tl_server::protocol::{read_frame, write_frame, FrameError, Request, Response
 use tl_server::{serve, BudgetSpec, Client, ClientError, ServerConfig, TenantSpec};
 use tl_xml::{parse_document, ParseOptions};
 use treelattice::{
-    estimate_catalog, markov_estimate_store, BuildConfig, Catalog, EstimateOptions, Estimator,
+    estimate_catalog, markov_estimate, BuildConfig, Catalog, EstimateOptions, Estimator,
     MmapCatalog, TreeLattice,
 };
 
@@ -156,7 +156,7 @@ fn drained_server_sheds_with_markov_provenance() {
     let twig = lattice.parse_query("a/b/c").unwrap();
     assert_eq!(
         est.value.to_bits(),
-        markov_estimate_store(&lattice, &twig).to_bits()
+        markov_estimate(&lattice, &twig).to_bits()
     );
 
     // Scrape bypasses admission control and still works while draining.

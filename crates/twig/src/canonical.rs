@@ -38,14 +38,14 @@ impl TwigKey {
     }
 
     /// Number of nodes in the encoded twig (each node contributes exactly
-    /// 6 bytes: 4 label bytes + open + close).
+    /// [`NODE_BYTES`]).
     pub fn node_count(&self) -> usize {
-        self.0.len() / 6
+        self.0.len() / NODE_BYTES
     }
 
     /// The label of the encoded twig's root.
     pub fn root_label(&self) -> LabelId {
-        debug_assert!(self.0.len() >= 6);
+        debug_assert!(self.0.len() >= NODE_BYTES);
         LabelId(u32::from_be_bytes([
             self.0[0], self.0[1], self.0[2], self.0[3],
         ]))
@@ -58,50 +58,17 @@ impl TwigKey {
     }
 
     /// Wraps raw bytes as a key without validation. Intended for
-    /// deserialization paths, which should call [`TwigKey::try_decode`] to
-    /// validate before trusting the key.
+    /// deserialization paths, which should validate the bytes with
+    /// [`check_encoding`] before trusting the key.
     pub fn from_raw(bytes: Box<[u8]>) -> TwigKey {
         TwigKey(bytes)
     }
 
     /// Non-panicking decode: returns `None` if the bytes are not a valid
-    /// canonical encoding (wrong framing, unbalanced sentinels, or more
-    /// than [`crate::twig::MAX_TWIG_NODES`] nodes).
+    /// canonical encoding (see [`check_encoding`]).
     pub fn try_decode(&self) -> Option<Twig> {
-        let b = &self.0;
-        if b.len() < 6 || !b.len().is_multiple_of(6) || b.len() / 6 > crate::twig::MAX_TWIG_NODES {
-            return None;
-        }
-        let mut pos = 0usize;
-        let root_label = read_label(b, &mut pos);
-        if b.get(pos) != Some(&OPEN) {
-            return None;
-        }
-        pos += 1;
-        let mut t = Twig::single(root_label);
-        let mut stack: Vec<TwigNodeId> = vec![0];
-        while !stack.is_empty() {
-            match b.get(pos)? {
-                &CLOSE => {
-                    pos += 1;
-                    stack.pop();
-                }
-                _ => {
-                    if pos + 5 > b.len() {
-                        return None;
-                    }
-                    let label = read_label(b, &mut pos);
-                    if b.get(pos) != Some(&OPEN) {
-                        return None;
-                    }
-                    pos += 1;
-                    let parent = *stack.last().expect("stack non-empty in loop");
-                    let id = t.add_child(parent, label);
-                    stack.push(id);
-                }
-            }
-        }
-        (pos == b.len()).then_some(t)
+        check_encoding(&self.0, usize::MAX)?;
+        Some(self.decode())
     }
 
     /// Decodes the key back into a twig (children in canonical order).
@@ -111,7 +78,7 @@ impl TwigKey {
     /// Panics if the bytes are not a valid encoding (cannot happen for keys
     /// produced by [`key_of`]).
     pub fn decode(&self) -> Twig {
-        assert!(self.0.len() >= 6, "corrupt twig key");
+        assert!(self.0.len() >= NODE_BYTES, "corrupt twig key");
         let mut t = Twig::single(self.root_label());
         self.decode_into(&mut t);
         t
@@ -137,7 +104,7 @@ impl TwigKey {
 /// Panics if the bytes are not a valid canonical encoding.
 pub fn decode_bytes_into(b: &[u8], out: &mut Twig) {
     assert!(
-        b.len() >= 6 && b.len().is_multiple_of(6),
+        b.len() >= NODE_BYTES && b.len().is_multiple_of(NODE_BYTES),
         "corrupt twig key"
     );
     let mut pos = 0usize;
@@ -193,6 +160,43 @@ impl fmt::Debug for TwigKey {
 const OPEN: u8 = 0x01;
 const CLOSE: u8 = 0x02;
 
+/// Bytes per node in a canonical encoding: the 4-byte label, then the open
+/// and close sentinels. An encoding of `n` nodes is `n * NODE_BYTES` long.
+pub const NODE_BYTES: usize = 6;
+
+/// Checks that `bytes` is a well-formed canonical encoding of at most
+/// [`crate::twig::MAX_TWIG_NODES`] nodes, every label below `label_bound`,
+/// and returns its node count; `None` if it is not. Each node must be a
+/// label followed by the open sentinel, every node must be closed, and
+/// nothing may follow the root's close. One pass, no allocation, no twig
+/// built: persisted summaries check every stored key with it on load.
+/// Sibling order is not checked.
+pub fn check_encoding(bytes: &[u8], label_bound: usize) -> Option<usize> {
+    if bytes.len() > crate::twig::MAX_TWIG_NODES * NODE_BYTES {
+        return None;
+    }
+    let (mut pos, mut depth, mut nodes) = (0usize, 0usize, 0usize);
+    while pos < bytes.len() {
+        if depth > 0 && bytes[pos] == CLOSE {
+            depth -= 1;
+            pos += 1;
+            continue;
+        }
+        if depth == 0 && nodes > 0 {
+            return None;
+        }
+        let label = bytes.get(pos..pos + 4)?;
+        let label = u32::from_be_bytes(label.try_into().expect("4 bytes"));
+        if bytes.get(pos + 4) != Some(&OPEN) || label as usize >= label_bound {
+            return None;
+        }
+        depth += 1;
+        nodes += 1;
+        pos += 5;
+    }
+    (nodes > 0 && depth == 0).then_some(nodes)
+}
+
 /// Computes the canonical key of `twig`.
 ///
 /// # Examples
@@ -225,7 +229,7 @@ fn encode_node(t: &Twig, n: TwigNodeId) -> Vec<u8> {
     let mut child_encodings: Vec<Vec<u8>> =
         t.children(n).iter().map(|&c| encode_node(t, c)).collect();
     child_encodings.sort_unstable();
-    let total: usize = 6 + child_encodings.iter().map(Vec::len).sum::<usize>();
+    let total: usize = NODE_BYTES + child_encodings.iter().map(Vec::len).sum::<usize>();
     let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&t.label(n).0.to_be_bytes());
     out.push(OPEN);
@@ -369,7 +373,7 @@ impl RemovalView {
     /// Panics if the bytes are not a valid canonical encoding.
     pub fn load(&mut self, bytes: &[u8]) {
         assert!(
-            bytes.len() >= 6 && bytes.len().is_multiple_of(6),
+            bytes.len() >= NODE_BYTES && bytes.len().is_multiple_of(NODE_BYTES),
             "corrupt twig key"
         );
         self.bytes.clear();
@@ -404,7 +408,7 @@ impl RemovalView {
         // on the decoded twig.
         self.removable.clear();
         for (node, &(start, end)) in self.spans.iter().enumerate() {
-            if end - start == 6 {
+            if end - start == NODE_BYTES as u32 {
                 self.removable.push(node as TwigNodeId);
             }
         }
@@ -486,7 +490,7 @@ impl RemovalView {
         let (start, end) = self.spans[node];
         let first_child = node + 1;
         let next_sibling =
-            |spans: &[(u32, u32)], c: usize| c + (spans[c].1 - spans[c].0) as usize / 6;
+            |spans: &[(u32, u32)], c: usize| c + (spans[c].1 - spans[c].0) as usize / NODE_BYTES;
         // At most two children changed: one per removed node below.
         let mut changed = [(0u32, 0u32); 2];
         let mut n_changed = 0;
@@ -706,6 +710,35 @@ mod tests {
         unbalanced[last] = 0x01; // CLOSE -> OPEN
         assert!(TwigKey::from_raw(unbalanced.into()).try_decode().is_none());
         assert!(TwigKey::from_raw(Box::from(&b""[..]))
+            .try_decode()
+            .is_none());
+    }
+
+    #[test]
+    fn check_encoding_counts_nodes_and_bounds_labels() {
+        let l = labels(3);
+        let mut t = Twig::single(l[0]);
+        let b = t.add_child(t.root(), l[1]);
+        t.add_child(b, l[2]);
+        t.add_child(t.root(), l[2]);
+        let raw = key_of(&t).as_bytes().to_vec();
+        assert_eq!(check_encoding(&raw, 3), Some(4));
+        assert_eq!(check_encoding(&raw, 2), None, "label 2 is out of range");
+        // Two roots side by side are not one encoding.
+        let single = key_of(&Twig::single(l[0])).as_bytes().to_vec();
+        assert_eq!(check_encoding(&single, 1), Some(1));
+        assert_eq!(check_encoding(&[single.clone(), single].concat(), 1), None);
+        // The largest twig passes; one node more does not.
+        let chain = |n: usize| {
+            let mut b = [0u8, 0, 0, 0, OPEN].repeat(n);
+            b.extend(std::iter::repeat_n(CLOSE, n));
+            b
+        };
+        let most = crate::twig::MAX_TWIG_NODES;
+        assert_eq!(check_encoding(&chain(most), 1), Some(most));
+        assert_eq!(check_encoding(&chain(most + 1), 1), None);
+        assert!(TwigKey::from_raw(chain(most).into()).try_decode().is_some());
+        assert!(TwigKey::from_raw(chain(most + 1).into())
             .try_decode()
             .is_none());
     }

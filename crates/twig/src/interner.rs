@@ -7,7 +7,7 @@
 //! after which every layer above (engine shards, per-query evaluation DAGs)
 //! addresses the sub-twig by a `u32`. The design follows the label-interner /
 //! rank-array precedent in `tl_xml::DocIndex`: content-addressed dense ids,
-//! with the id-to-key direction backed by a flat vector.
+//! stored in the key-to-id direction only.
 //!
 //! Ids are content-addressed and never recycled, so they are stable across
 //! summary generations — invalidation stays a per-value concern and the id
@@ -24,8 +24,8 @@ pub type TwigId = u32;
 /// Maps canonical twig encodings to dense [`TwigId`]s, once per encoding.
 ///
 /// Probes by raw `&[u8]` are allocation-free (via the `Borrow<[u8]>` bridge
-/// on [`TwigKey`]); the encoding bytes are cloned exactly once, when an id is
-/// first assigned.
+/// on [`TwigKey`]); the encoding bytes are cloned exactly once, into the
+/// map's key, when an id is first assigned.
 ///
 /// # Examples
 ///
@@ -41,12 +41,11 @@ pub type TwigId = u32;
 /// let (id, cloned) = interner.intern_bytes(key.as_bytes());
 /// assert_eq!(cloned, key.as_bytes().len(), "first sighting clones the key");
 /// assert_eq!(interner.intern_bytes(key.as_bytes()), (id, 0), "warm probe");
-/// assert_eq!(interner.resolve(id), &key);
+/// assert_eq!(interner.get(key.as_bytes()), Some(id));
 /// ```
 #[derive(Debug, Default)]
 pub struct TwigInterner {
     ids: FxHashMap<TwigKey, TwigId>,
-    keys: Vec<TwigKey>,
 }
 
 impl TwigInterner {
@@ -69,10 +68,8 @@ impl TwigInterner {
         if let Some(&id) = self.ids.get(bytes) {
             return (id, 0);
         }
-        let id = u32::try_from(self.keys.len()).expect("more than u32::MAX distinct twigs");
-        let key = TwigKey::from_raw(bytes.into());
-        self.keys.push(key.clone());
-        self.ids.insert(key, id);
+        let id = u32::try_from(self.ids.len()).expect("more than u32::MAX distinct twigs");
+        self.ids.insert(TwigKey::from_raw(bytes.into()), id);
         (id, bytes.len())
     }
 
@@ -81,32 +78,21 @@ impl TwigInterner {
         self.intern_bytes(key.as_bytes()).0
     }
 
-    /// The canonical key an id was assigned to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this interner.
-    pub fn resolve(&self, id: TwigId) -> &TwigKey {
-        &self.keys[id as usize]
-    }
-
     /// Number of distinct encodings interned (the interner occupancy).
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.ids.len()
     }
 
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.ids.is_empty()
     }
 
-    /// Approximate heap footprint: both directions of the table plus the
-    /// stored encodings (kept twice — map key and resolve vector).
+    /// Approximate heap footprint: the map's table plus the stored
+    /// encodings, each kept once as its key.
     pub fn heap_bytes(&self) -> usize {
-        let encodings: usize = self.keys.iter().map(|k| 2 * k.as_bytes().len()).sum();
-        encodings
-            + self.ids.capacity() * (std::mem::size_of::<(TwigKey, TwigId)>() + 1)
-            + self.keys.capacity() * std::mem::size_of::<TwigKey>()
+        let encodings: usize = self.ids.keys().map(|k| k.as_bytes().len()).sum();
+        encodings + self.ids.capacity() * (std::mem::size_of::<(TwigKey, TwigId)>() + 1)
     }
 }
 
@@ -149,18 +135,6 @@ mod tests {
         assert_eq!(cold, ks[0].as_bytes().len());
         for _ in 0..10 {
             assert_eq!(it.intern_bytes(ks[0].as_bytes()), (id, 0));
-        }
-    }
-
-    #[test]
-    fn resolve_round_trips() {
-        let ks = keys(6);
-        let mut it = TwigInterner::new();
-        let ids: Vec<_> = ks.iter().map(|k| it.intern(k)).collect();
-        for (k, id) in ks.iter().zip(ids) {
-            assert_eq!(it.resolve(id), k);
-            // Canonical-form identity survives the id indirection.
-            assert_eq!(key_of(&it.resolve(id).decode()), *k);
         }
     }
 

@@ -64,10 +64,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations per cold voting query allowed on the fixture below. The
-/// byte-domain DAG measured 114.3 here, most of them the per-query
-/// interner's key copies; rebuilding each operand as a twig took 1,441.8.
-const MAX_COLD_ALLOCATIONS_PER_QUERY: f64 = 130.0;
+/// Allocations per cold voting query allowed on the fixture below: the
+/// 58.9 measured, plus the same 14% headroom as before. Most of them are
+/// the per-query interner's one key copy per distinct sub-twig; keeping
+/// each key twice took 114.3, and rebuilding each operand as a twig took
+/// 1,441.8.
+const MAX_COLD_ALLOCATIONS_PER_QUERY: f64 = 67.0;
 
 #[test]
 fn warm_engine_estimates_allocate_nothing() {

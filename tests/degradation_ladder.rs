@@ -81,7 +81,7 @@ fn assert_attribution(
                 (2..lattice.k()).contains(&k) || k == 2,
                 "{ctx}: odd k_eff {k}"
             );
-            let twin = estimate_fixed_at(lattice.summary(), twig, k, opts);
+            let twin = estimate_fixed_at(lattice.summary(), twig, k);
             assert_eq!(
                 res.value.to_bits(),
                 twin.to_bits(),
