@@ -151,7 +151,7 @@ pub fn build(cfg: &ExpConfig) -> MatcherBench {
         assert_eq!(serial.lattice.len(), parallel.lattice.len());
         for (key, count) in serial.lattice.iter() {
             assert_eq!(
-                parallel.lattice.get(key),
+                parallel.lattice.stored(key),
                 Some(count),
                 "parallel mining diverged on {}",
                 ds.name()

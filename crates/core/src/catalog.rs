@@ -33,8 +33,7 @@ use tl_xml::LabelInterner;
 
 use crate::estimator::{EstimateOptions, Estimator};
 use crate::serialize::{Frame, Level, ReadError};
-use crate::summary::{Lookup, Summary};
-use crate::{dag, next_generation, TreeLattice};
+use crate::{dag, next_generation, Lookup, Summary, TreeLattice};
 
 /// A source of pattern-count lookups keyed by canonical twig encoding —
 /// the minimal store interface the decomposition DAG evaluates against.
@@ -295,16 +294,6 @@ impl MmapCatalog {
         self.backing.bytes().len()
     }
 
-    /// Whether the file is actually memory-mapped (`false` on the plain-read
-    /// fallback).
-    pub fn is_mapped(&self) -> bool {
-        match self.backing {
-            #[cfg(unix)]
-            Backing::Mapped(_) => true,
-            Backing::Owned(_) => false,
-        }
-    }
-
     /// Lookups served since open (or since the last
     /// [`flush_lookups`](Self::flush_lookups)).
     pub fn lookups(&self) -> u64 {
@@ -327,12 +316,6 @@ impl MmapCatalog {
     /// Whether the catalog stores nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Materializes the mapped content back into an in-memory lattice
-    /// (for tooling that needs to mutate; estimation does not use this).
-    pub fn to_lattice(&self) -> Result<TreeLattice, ReadError> {
-        crate::serialize::from_bytes(self.backing.bytes())
     }
 }
 

@@ -65,7 +65,7 @@ use tl_xml::FxHashMap;
 
 use crate::catalog::PatternStore;
 use crate::estimator::{EstimateOptions, Estimator};
-use crate::summary::Lookup;
+use crate::Lookup;
 
 /// Where interned ids and resolved sub-twig estimates live during DAG
 /// evaluation: the per-query implementation is [`LocalIdCache`]; the
@@ -678,7 +678,7 @@ mod tests {
     use super::*;
     use crate::estimator::{EstimateOptions, Estimator};
     use crate::reference::reference_estimate;
-    use crate::summary::Summary;
+    use crate::Summary;
 
     fn summary_of(patterns: &[(&str, u64)], k: usize) -> (Summary, LabelInterner) {
         let mut it = LabelInterner::new();

@@ -18,12 +18,13 @@
 //! (generation, voting class, canonical key):
 //!
 //! * **Generation** — every [`TreeLattice`] carries a generation drawn from
-//!   a process-wide counter, reassigned by every mutation
-//!   ([`TreeLattice::update_after_edit`], [`TreeLattice::prune`],
-//!   [`TreeLattice::set_summary`] — including the online tuner's feedback
-//!   path). A shard only answers lookups whose generation matches the one
-//!   its entries were computed against, so stale entries are unreachable by
-//!   construction and are evicted lazily on the next write.
+//!   a process-wide counter, reassigned by every mutation: each one goes
+//!   through [`TreeLattice::summary_mut`] ([`TreeLattice::merge`],
+//!   [`TreeLattice::update_after_edit`], [`TreeLattice::prune`], and the
+//!   online tuner's in-place feedback). A shard only answers lookups whose
+//!   generation matches the one its entries were computed against, so
+//!   stale entries are unreachable by construction and are evicted lazily
+//!   on the next write.
 //! * **Voting class** — estimates computed under different effective voting
 //!   widths are distinct cache populations; [`Estimator::Recursive`],
 //!   [`Estimator::FixSized`], and [`Estimator::FixSizedVoting`] share class

@@ -14,7 +14,7 @@
 //!   with `n−k+1` k-subtrees in pre-order and take the telescoping product
 //!   `ŝ(T) = Π s(tᵢ) / Π s(tᵢ ∩ coveredᵢ₋₁)`.
 //!
-//! Lookup misses behave per [`Lookup`](crate::summary::Lookup): a miss on a
+//! Lookup misses behave per [`Lookup`](crate::Lookup): a miss on a
 //! complete level is an exact zero (zero-selectivity queries answer 0, the
 //! ≥90% negative-workload accuracy of §5.1), while a miss on a δ-pruned
 //! level re-derives the count recursively (Lemma 5).
@@ -28,7 +28,7 @@ use tl_fault::Budget;
 use tl_twig::Twig;
 
 use crate::dag::LocalIdCache;
-use crate::summary::Summary;
+use crate::Summary;
 
 /// Which estimation strategy to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -15,7 +15,7 @@ use tl_xml::LabelInterner;
 
 use crate::estimator::{estimate, EstimateOptions, Estimator};
 use crate::interval::estimate_interval;
-use crate::summary::{Lookup, Summary};
+use crate::{Lookup, Summary};
 
 /// Renders the recursive-decomposition trace of `twig` against `summary`.
 ///

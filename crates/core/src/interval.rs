@@ -19,7 +19,7 @@ use tl_twig::ops::{decompose_pair, removable_pairs};
 use tl_twig::{Twig, TwigKey};
 use tl_xml::FxHashMap;
 
-use crate::summary::{Lookup, Summary};
+use crate::{Lookup, Summary};
 
 /// A point estimate with a decomposition-disagreement interval around it.
 #[derive(Clone, Copy, Debug, PartialEq)]

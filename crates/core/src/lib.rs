@@ -32,7 +32,10 @@
 //!
 //! ## Modules
 //!
-//! * [`summary`] — the lattice summary with complete/pruned level semantics;
+//! The lattice summary itself, with its complete/pruned level semantics,
+//! is [`Summary`]: [`tl_miner`] builds it, and a [`TreeLattice`] owns it
+//! and mutates it in place (see [`TreeLattice::summary_mut`]).
+//!
 //! * [`estimator`] — recursive decomposition (± voting) and fix-sized
 //!   covering estimators;
 //! * [`pruning`] — δ-derivable pattern pruning (Definition 2 / Figure 6);
@@ -58,14 +61,12 @@ pub mod pruning;
 pub mod reference;
 pub mod resilient;
 pub mod serialize;
-pub mod summary;
 pub mod trie;
 pub mod wal;
 
 use tl_miner::{mine_with_index_budgeted, MineConfig};
-use tl_twig::canonical::KeyEncoder;
-use tl_twig::{parse_twig, parse_twig_in, Twig, TwigKey, TwigParseError};
-use tl_xml::{DocIndex, Document, FxHashMap, LabelId, LabelInterner};
+use tl_twig::{parse_twig, parse_twig_in, Twig, TwigParseError};
+use tl_xml::{DocIndex, Document, LabelInterner};
 
 pub use catalog::{estimate_catalog, Catalog, CatalogError, MmapCatalog, PatternStore};
 pub use engine::{EngineConfig, EngineStats, EstimationEngine};
@@ -77,7 +78,9 @@ pub use pruning::{prune_derivable, PruneReport};
 pub use reference::ReferenceEngine;
 pub use resilient::{estimate_resilient_catalog, markov_estimate, ResilientEstimate};
 pub use serialize::ReadError;
-pub use summary::{Lookup, Summary};
+// The pattern table is tl-miner's: mining produces the one `Summary` a
+// lattice owns from then on.
+pub use tl_miner::{Lookup, Summary};
 pub use wal::{
     recover, Applied, DurabilityPolicy, DurableLattice, DurableOptions, IdemCache, Recovered,
     RecoveryReport,
@@ -135,10 +138,10 @@ pub struct TreeLattice {
     labels: LabelInterner,
     summary: Summary,
     /// Summary-content version, drawn from a process-wide counter. Every
-    /// mutation ([`TreeLattice::update_after_edit`], [`TreeLattice::prune`],
-    /// [`TreeLattice::set_summary`]) assigns a fresh value, which is how
-    /// [`engine::EstimationEngine`] invalidates its shared cache. Clones keep
-    /// the generation: identical summaries may share cached estimates.
+    /// mutation goes through [`TreeLattice::summary_mut`], which assigns a
+    /// fresh value; that is how [`engine::EstimationEngine`] invalidates
+    /// its shared cache. Clones keep the generation: identical summaries
+    /// may share cached estimates.
     generation: u64,
 }
 
@@ -192,20 +195,11 @@ impl TreeLattice {
             config.budget,
             rec,
         );
-        let stopped_early = report.stopped_early;
-        let mut summary = Summary::from_mined(report.lattice);
+        let mut lattice = Self::from_parts(doc.labels().clone(), report.lattice);
         if let Some(delta) = config.prune_delta {
-            let (pruned, _) = prune_derivable(&summary, delta);
-            summary = pruned;
+            lattice.prune(delta);
         }
-        (
-            Self {
-                labels: doc.labels().clone(),
-                summary,
-                generation: next_generation(),
-            },
-            stopped_early,
-        )
+        (lattice, report.stopped_early)
     }
 
     /// Builds a lattice over a multi-document corpus: documents are sharded
@@ -228,22 +222,18 @@ impl TreeLattice {
         rec: &dyn tl_obs::Recorder,
     ) -> Self {
         let report = tl_miner::mine_corpus_observed(docs, config, rec);
-        let mut summary = Summary::from_mined(report.lattice);
+        let mut lattice = Self::from_parts(report.labels, report.lattice);
         if let Some(delta) = prune_delta {
-            let (pruned, _) = prune_derivable(&summary, delta);
-            summary = pruned;
+            lattice.prune(delta);
         }
-        Self {
-            labels: report.labels,
-            summary,
-            generation: next_generation(),
-        }
+        lattice
     }
 
     /// Merges `other`'s summary into this one: label universes union (ids
     /// already assigned here never move), pattern counts add, pruned flags
     /// OR. Keys of `other` expressed in a different label universe are
-    /// translated and re-canonicalized on the way in.
+    /// translated and re-canonicalized on the way in, by the same
+    /// [`Summary::merge_relabeled`] that folds a corpus.
     ///
     /// Merging is commutative and associative in the stored counts, but
     /// δ-pruning is *not* a monoid homomorphism: a pattern derivable in each
@@ -252,31 +242,7 @@ impl TreeLattice {
     /// verifies against sequential mining.
     pub fn merge(&mut self, other: &TreeLattice) {
         let map = self.labels.extend_from(other.labels());
-        if map.iter().enumerate().all(|(i, id)| id.index() == i) {
-            self.summary.merge(other.summary());
-        } else {
-            let mut enc = KeyEncoder::new();
-            let mut buf: Vec<u8> = Vec::new();
-            let mut scratch = Twig::single(LabelId(0));
-            let k = other.summary.max_size();
-            let mut levels: Vec<FxHashMap<TwigKey, u64>> = Vec::with_capacity(k);
-            let mut pruned_flags: Vec<bool> = Vec::with_capacity(k);
-            for size in 1..=k {
-                let mut level = FxHashMap::default();
-                for (key, count) in other.summary.iter_level(size) {
-                    key.decode_into(&mut scratch);
-                    scratch.relabel(&map);
-                    // Canonical order depends on label ids: re-encode.
-                    enc.encode_into(&scratch, &mut buf);
-                    level.insert(TwigKey::from_raw(buf.as_slice().into()), count);
-                }
-                levels.push(level);
-                pruned_flags.push(other.summary.is_pruned(size));
-            }
-            self.summary
-                .merge(&Summary::from_parts(levels, pruned_flags));
-        }
-        self.generation = next_generation();
+        self.summary_mut().merge_relabeled(other.summary(), &map);
     }
 
     /// Assembles a lattice from pre-built parts (deserialization, tests).
@@ -308,6 +274,16 @@ impl TreeLattice {
     /// The underlying summary.
     pub fn summary(&self) -> &Summary {
         &self.summary
+    }
+
+    /// The summary, to change in place. Assigns a fresh generation first,
+    /// so the engine's cache never answers from the summary as it was.
+    /// Every mutation goes through here: [`merge`](TreeLattice::merge),
+    /// [`update_after_edit`](TreeLattice::update_after_edit),
+    /// [`prune`](TreeLattice::prune) and the online tuner's feedback.
+    pub fn summary_mut(&mut self) -> &mut Summary {
+        self.generation = next_generation();
+        &mut self.summary
     }
 
     /// Summary memory footprint in bytes.
@@ -419,49 +395,29 @@ impl TreeLattice {
         touched: &[tl_xml::LabelId],
     ) -> tl_miner::UpdateReport {
         let k = self.summary.max_size();
-        let mut levels = Vec::with_capacity(k);
-        for size in 1..=k {
-            assert!(
-                !self.summary.is_pruned(size),
-                "update_after_edit requires an unpruned summary"
-            );
-            let map: tl_xml::FxHashMap<_, _> = self
-                .summary
-                .iter_level(size)
-                .map(|(key, c)| (key.clone(), c))
-                .collect();
-            levels.push(map);
-        }
-        let prev = tl_miner::MinedLattice::from_levels(levels);
+        assert!(
+            (1..=k).all(|size| !self.summary.is_pruned(size)),
+            "update_after_edit requires an unpruned summary"
+        );
         let (updated, report) = tl_miner::update_mined(
             doc_new,
-            &prev,
+            &self.summary,
             touched,
-            tl_miner::MineConfig {
+            MineConfig {
                 max_size: k,
                 threads: 1,
             },
         );
         self.labels = doc_new.labels().clone();
-        self.summary = Summary::from_mined(updated);
-        self.generation = next_generation();
+        *self.summary_mut() = updated;
         report
     }
 
     /// Prunes δ-derivable patterns in place; returns the report.
     pub fn prune(&mut self, delta: f64) -> PruneReport {
         let (kept, report) = prune_derivable(&self.summary, delta);
-        self.summary = kept;
-        self.generation = next_generation();
+        *self.summary_mut() = kept;
         report
-    }
-
-    /// Replaces the summary (used by experiments that splice levels, e.g.
-    /// Figure 10(b)'s pruned-4-lattice + level-5 non-derivables, and by the
-    /// online tuner's feedback path).
-    pub fn set_summary(&mut self, summary: Summary) {
-        self.summary = summary;
-        self.generation = next_generation();
     }
 
     /// Serializes to the versioned binary format.

@@ -22,6 +22,11 @@
 //! k-lattice itself) are never evicted, matching the paper's framing of
 //! the lattice as the durable statistic and the online layer as a tunable
 //! cache.
+//!
+//! The insert and the evictions change the live summary in place, through
+//! [`TreeLattice::summary_mut`], so an update never copies the table; it
+//! still assigns a fresh generation, which discards the engine's cached
+//! estimates.
 
 use tl_twig::canonical::key_of;
 use tl_twig::{Twig, TwigKey};
@@ -145,9 +150,7 @@ impl TunedLattice {
         if is_new {
             self.online_bytes += key.heap_bytes();
         }
-        let mut summary = self.lattice.summary().clone();
-        summary.insert(key, true_count);
-        self.lattice.set_summary(summary);
+        self.lattice.summary_mut().insert(key, true_count);
         self.stats.inserted += 1;
         self.enforce_budget();
     }
@@ -172,7 +175,7 @@ impl TunedLattice {
             })
             .collect();
         candidates.sort();
-        let mut summary = self.lattice.summary().clone();
+        let summary = self.lattice.summary_mut();
         for (_, _, _, key) in candidates {
             if self.online_bytes <= self.online_budget {
                 break;
@@ -183,7 +186,6 @@ impl TunedLattice {
             self.online_bytes = self.online_bytes.saturating_sub(key.heap_bytes());
             self.stats.evicted += 1;
         }
-        self.lattice.set_summary(summary);
     }
 }
 

@@ -14,7 +14,7 @@ use tl_twig::TwigKey;
 use tl_xml::FxHashMap;
 
 use crate::estimator::{estimate, EstimateOptions, Estimator};
-use crate::summary::Summary;
+use crate::Summary;
 
 /// Outcome of a pruning pass.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -115,7 +115,7 @@ mod tests {
     use tl_twig::canonical::key_of;
     use tl_xml::LabelInterner;
 
-    use crate::summary::Lookup;
+    use crate::Lookup;
 
     use super::*;
 
@@ -162,7 +162,7 @@ mod tests {
         )
         .unwrap();
         let mined = tl_miner::mine(&doc, tl_miner::MineConfig::with_max_size(3));
-        let s = Summary::from_mined(mined.lattice);
+        let s = mined.lattice;
         let (kept, _) = prune_derivable(&s, 0.0);
         for size in 1..=3 {
             for (key, count) in s.iter_level(size) {

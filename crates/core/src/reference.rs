@@ -31,8 +31,7 @@ use tl_twig::{Twig, TwigKey};
 use tl_xml::{FxHashMap, FxHasher};
 
 use crate::engine::voting_class;
-use crate::summary::{Lookup, Summary};
-use crate::{EstimateOptions, Estimator, TreeLattice};
+use crate::{EstimateOptions, Estimator, Lookup, Summary, TreeLattice};
 
 /// One lock-guarded slice of the cache, exactly as the superseded engine
 /// sharded it.

@@ -39,7 +39,7 @@ use tl_twig::{Twig, TwigKey};
 use crate::catalog::{has_unknown_label, Catalog, PatternStore};
 use crate::dag::{estimate_dag_within, estimate_fixed_dag, DagStats, IdCache, LocalIdCache};
 use crate::estimator::{EstimateOptions, Estimator};
-use crate::summary::Lookup;
+use crate::Lookup;
 
 /// A selectivity estimate that always exists, tagged with how it was
 /// obtained.

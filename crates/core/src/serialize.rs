@@ -43,8 +43,7 @@ use tl_twig::canonical::{check_encoding, NODE_BYTES};
 use tl_twig::TwigKey;
 use tl_xml::{FxHashMap, LabelInterner};
 
-use crate::summary::Summary;
-use crate::TreeLattice;
+use crate::{Summary, TreeLattice};
 
 const MAGIC: &[u8; 4] = b"TLAT";
 /// Version 2 introduced the crc32 + length integrity frame; version-1

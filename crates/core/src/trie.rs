@@ -87,7 +87,7 @@ impl TrieMap {
 }
 
 /// Builds a trie over every `(key, count)` in a summary.
-pub fn trie_of_summary(summary: &crate::summary::Summary) -> TrieMap {
+pub fn trie_of_summary(summary: &crate::Summary) -> TrieMap {
     let mut t = TrieMap::new();
     for (key, count) in summary.iter() {
         t.insert(key.as_bytes(), count);
@@ -140,7 +140,7 @@ mod tests {
         )
         .unwrap();
         let mined = tl_miner::mine(&doc, tl_miner::MineConfig::with_max_size(3));
-        let summary = crate::summary::Summary::from_mined(mined.lattice);
+        let summary = mined.lattice;
         let trie = trie_of_summary(&summary);
         assert_eq!(trie.len(), summary.len());
         for (key, count) in summary.iter() {

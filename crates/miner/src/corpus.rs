@@ -10,9 +10,9 @@
 //!    [`LabelInterner`] (see [`LabelInterner::extend_from`]) — the shared
 //!    universe depends only on document order, never on sharding.
 //! 2. Workers pull documents off a shared work-stealing cursor, mine each
-//!    in its *own* label space, and remap the mined keys into the shared
-//!    universe before folding them into a worker-local partial lattice
-//!    (identity maps skip the remap entirely).
+//!    in its *own* label space, and fold it into a worker-local partial
+//!    summary with [`Summary::merge_relabeled`], which re-keys it into the
+//!    shared universe on the way in (identity maps skip the re-keying).
 //! 3. The partials merge pairwise in a tree reduction. Because u64 count
 //!    addition is commutative and associative, the merged lattice is
 //!    bit-identical (content-wise, and therefore in the canonical sorted
@@ -21,11 +21,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use tl_twig::canonical::KeyEncoder;
-use tl_twig::{Twig, TwigKey};
-use tl_xml::{DocIndex, Document, FxHashMap, LabelId, LabelInterner};
+use tl_xml::{DocIndex, Document, LabelId, LabelInterner};
 
-use crate::{mine_with_index, MineConfig, MinedLattice};
+use crate::{mine_with_index, MineConfig, Summary};
 
 /// Configuration for [`mine_corpus`].
 #[derive(Clone, Copy, Debug)]
@@ -83,7 +81,7 @@ impl CorpusConfig {
 pub struct CorpusReport {
     /// Summed pattern counts over the whole corpus, in the shared label
     /// universe.
-    pub lattice: MinedLattice,
+    pub lattice: Summary,
     /// The shared label universe (union of every document's labels, in
     /// document order).
     pub labels: LabelInterner,
@@ -107,7 +105,7 @@ pub struct CorpusReport {
 ///
 /// ```
 /// use tl_xml::{parse_document, ParseOptions};
-/// use tl_miner::{mine_corpus, CorpusConfig};
+/// use tl_miner::{mine_corpus, CorpusConfig, Lookup};
 /// use tl_twig::parse_twig_in;
 ///
 /// let docs: Vec<_> = [b"<a><b/></a>" as &[u8], b"<c><a><b/></a></c>"]
@@ -116,7 +114,7 @@ pub struct CorpusReport {
 ///     .collect();
 /// let report = mine_corpus(&docs, CorpusConfig::with_max_size(2));
 /// let q = parse_twig_in("a/b", &report.labels).unwrap();
-/// assert_eq!(report.lattice.get_twig(&q), Some(2), "counts sum over docs");
+/// assert_eq!(report.lattice.lookup_twig(&q), Lookup::Exact(2), "counts sum over docs");
 /// ```
 pub fn mine_corpus(docs: &[Document], config: CorpusConfig) -> CorpusReport {
     mine_corpus_observed(docs, config, &tl_obs::NOOP)
@@ -145,11 +143,11 @@ pub fn mine_corpus_observed(
     // mining cost varies with document size, so static chunking would
     // serialize behind the unlucky worker — same scheme as the candidate
     // counter's work stealing).
-    let mut partials: Vec<MinedLattice> = if shards <= 1 {
-        let mut acc = MinedLattice::default();
+    let mut partials: Vec<Summary> = if shards <= 1 {
+        let mut acc = Summary::empty();
         for (doc, map) in docs.iter().zip(&maps) {
             let mined = mine_with_index(&DocIndex::new(doc), per_doc).lattice;
-            merge_remapped(&mut acc, mined, map);
+            acc.merge_relabeled(&mined, map);
         }
         vec![acc]
     } else {
@@ -160,12 +158,12 @@ pub fn mine_corpus_observed(
                     let cursor = &cursor;
                     let maps = &maps;
                     scope.spawn(move || {
-                        let mut acc = MinedLattice::default();
+                        let mut acc = Summary::empty();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(doc) = docs.get(i) else { break };
                             let mined = mine_with_index(&DocIndex::new(doc), per_doc).lattice;
-                            merge_remapped(&mut acc, mined, &maps[i]);
+                            acc.merge_relabeled(&mined, &maps[i]);
                         }
                         acc
                     })
@@ -193,7 +191,7 @@ pub fn mine_corpus_observed(
         }
         partials = next;
     }
-    let lattice = partials.pop().unwrap_or_default();
+    let lattice = partials.pop().unwrap_or_else(Summary::empty);
     let merge_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
     rec.add(tl_obs::names::MINER_MERGE_MS, merge_ms);
 
@@ -206,49 +204,22 @@ pub fn mine_corpus_observed(
     }
 }
 
-/// Folds a per-document lattice into a shard accumulator, translating its
-/// keys from the document's label space into the shared universe via `map`
-/// first. Identity maps (document labels already aligned with the shared
-/// interner — always true for the first document) skip the rewrite.
-fn merge_remapped(acc: &mut MinedLattice, mined: MinedLattice, map: &[LabelId]) {
-    if map.iter().enumerate().all(|(i, id)| id.index() == i) {
-        acc.merge(&mined);
-        return;
-    }
-    let mut enc = KeyEncoder::new();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut scratch = Twig::single(LabelId(0));
-    let mut levels: Vec<FxHashMap<TwigKey, u64>> = Vec::with_capacity(mined.max_size());
-    for size in 1..=mined.max_size() {
-        let mut level = FxHashMap::default();
-        for (key, count) in mined.iter_level(size) {
-            key.decode_into(&mut scratch);
-            scratch.relabel(map);
-            // Canonical order depends on label ids, so re-encode from
-            // scratch rather than patching bytes in place.
-            enc.encode_into(&scratch, &mut buf);
-            level.insert(TwigKey::from_raw(buf.as_slice().into()), count);
-        }
-        levels.push(level);
-    }
-    acc.merge(&MinedLattice::from_levels(levels));
-}
-
 #[cfg(test)]
 mod tests {
     use tl_xml::{parse_document, ParseOptions};
 
     use super::*;
+    use crate::Lookup;
 
     fn doc(s: &str) -> Document {
         parse_document(s.as_bytes(), ParseOptions::default()).unwrap()
     }
 
-    fn assert_same(a: &MinedLattice, b: &MinedLattice) {
+    fn assert_same(a: &Summary, b: &Summary) {
         assert_eq!(a.max_size(), b.max_size());
         assert_eq!(a.len(), b.len());
         for (key, count) in a.iter() {
-            assert_eq!(b.get(key), Some(count));
+            assert_eq!(b.stored(key), Some(count));
         }
     }
 
@@ -261,9 +232,9 @@ mod tests {
         ];
         let report = mine_corpus(&docs, CorpusConfig::with_max_size(3));
         let q = |s: &str| tl_twig::parse_twig_in(s, &report.labels).unwrap();
-        assert_eq!(report.lattice.get_twig(&q("a/b")), Some(4));
-        assert_eq!(report.lattice.get_twig(&q("a")), Some(3));
-        assert_eq!(report.lattice.get_twig(&q("x/a/b")), Some(1));
+        assert_eq!(report.lattice.lookup_twig(&q("a/b")), Lookup::Exact(4));
+        assert_eq!(report.lattice.lookup_twig(&q("a")), Lookup::Exact(3));
+        assert_eq!(report.lattice.lookup_twig(&q("x/a/b")), Lookup::Exact(1));
         assert_eq!(report.docs, 3);
     }
 
@@ -275,9 +246,9 @@ mod tests {
         let report = mine_corpus(&docs, CorpusConfig::with_max_size(2));
         assert_eq!(report.labels.len(), 2);
         let q = |s: &str| tl_twig::parse_twig_in(s, &report.labels).unwrap();
-        assert_eq!(report.lattice.get_twig(&q("a/b")), Some(1));
-        assert_eq!(report.lattice.get_twig(&q("b/a")), Some(1));
-        assert_eq!(report.lattice.get_twig(&q("a")), Some(2));
+        assert_eq!(report.lattice.lookup_twig(&q("a/b")), Lookup::Exact(1));
+        assert_eq!(report.lattice.lookup_twig(&q("b/a")), Lookup::Exact(1));
+        assert_eq!(report.lattice.lookup_twig(&q("a")), Lookup::Exact(2));
     }
 
     #[test]

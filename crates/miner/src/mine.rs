@@ -5,6 +5,8 @@ use tl_twig::canonical::{key_of, KeyEncoder};
 use tl_twig::{Twig, TwigKey};
 use tl_xml::{DocIndex, Document, FxHashMap, FxHashSet, LabelId};
 
+use crate::Summary;
+
 /// Sparse root map of a pattern: `(rank, m)` pairs, sorted ascending, where
 /// `rank` is the within-label rank (see [`DocIndex::rank`]) of a document
 /// node hosting `m ≥ 1` matches of the pattern. Rank-keyed so counting can
@@ -53,8 +55,8 @@ impl MineConfig {
 /// The result of a mining run.
 #[derive(Clone, Debug)]
 pub struct MineReport {
-    /// The mined pattern counts.
-    pub lattice: super::MinedLattice,
+    /// The mined pattern counts: complete levels, none pruned.
+    pub lattice: Summary,
     /// Candidate patterns generated per level (before counting filtered the
     /// non-occurring ones) — levels are 1-based sizes, index 0 = size 1.
     pub candidates_per_level: Vec<usize>,
@@ -75,13 +77,13 @@ pub struct MineReport {
 ///
 /// ```
 /// use tl_xml::{parse_document, ParseOptions};
-/// use tl_miner::{mine, MineConfig};
+/// use tl_miner::{mine, Lookup, MineConfig};
 /// use tl_twig::parse_twig_in;
 ///
 /// let doc = parse_document(b"<a><b><c/></b><b/></a>", ParseOptions::default()).unwrap();
 /// let report = mine(&doc, MineConfig { max_size: 3, threads: 1 });
 /// let q = parse_twig_in("a/b", doc.labels()).unwrap();
-/// assert_eq!(report.lattice.get_twig(&q), Some(2));
+/// assert_eq!(report.lattice.lookup_twig(&q), Lookup::Exact(2));
 /// let q3 = parse_twig_in("a[b[c]][b]", doc.labels());
 /// assert!(q3.is_ok());
 /// ```
@@ -240,8 +242,9 @@ fn mine_inner(
         }
     }
 
+    let pruned = vec![false; levels.len()];
     MineReport {
-        lattice: super::MinedLattice::from_levels(levels),
+        lattice: Summary::from_parts(levels, pruned),
         candidates_per_level,
         stopped_early,
     }
@@ -726,6 +729,7 @@ mod tests {
     use tl_xml::{parse_document, ParseOptions};
 
     use super::*;
+    use crate::Lookup;
 
     fn doc(s: &str) -> Document {
         parse_document(s.as_bytes(), ParseOptions::default()).unwrap()
@@ -738,7 +742,7 @@ mod tests {
         assert_eq!(r.lattice.max_size(), 1);
         assert_eq!(r.lattice.patterns_at(1), 3);
         let b = parse_twig_in("b", d.labels()).unwrap();
-        assert_eq!(r.lattice.get_twig(&b), Some(2));
+        assert_eq!(r.lattice.lookup_twig(&b), Lookup::Exact(2));
     }
 
     #[test]
@@ -747,10 +751,14 @@ mod tests {
         let r = mine(&d, MineConfig::with_max_size(2));
         let ab = parse_twig_in("a/b", d.labels()).unwrap();
         let bc = parse_twig_in("b/c", d.labels()).unwrap();
-        assert_eq!(r.lattice.get_twig(&ab), Some(2));
-        assert_eq!(r.lattice.get_twig(&bc), Some(1));
+        assert_eq!(r.lattice.lookup_twig(&ab), Lookup::Exact(2));
+        assert_eq!(r.lattice.lookup_twig(&bc), Lookup::Exact(1));
         let ac = parse_twig_in("a/c", d.labels()).unwrap();
-        assert_eq!(r.lattice.get_twig(&ac), None, "a/c does not occur");
+        assert_eq!(
+            r.lattice.lookup_twig(&ac),
+            Lookup::Exact(0),
+            "a/c does not occur"
+        );
     }
 
     #[test]
@@ -761,7 +769,7 @@ mod tests {
              </laptops><desktops/></computer>");
         let r = mine(&d, MineConfig::with_max_size(3));
         let q = parse_twig_in("laptop[brand][price]", d.labels()).unwrap();
-        assert_eq!(r.lattice.get_twig(&q), Some(2));
+        assert_eq!(r.lattice.lookup_twig(&q), Lookup::Exact(2));
     }
 
     #[test]
@@ -779,7 +787,7 @@ mod tests {
         let shared = mine_with_index(&index, cfg);
         assert_eq!(owned.lattice.len(), shared.lattice.len());
         for (key, count) in owned.lattice.iter() {
-            assert_eq!(shared.lattice.get(key), Some(count));
+            assert_eq!(shared.lattice.stored(key), Some(count));
         }
         assert_eq!(owned.candidates_per_level, shared.candidates_per_level);
     }
@@ -838,7 +846,7 @@ mod tests {
         );
         assert_eq!(serial.lattice.len(), parallel.lattice.len());
         for (key, count) in serial.lattice.iter() {
-            assert_eq!(parallel.lattice.get(key), Some(count));
+            assert_eq!(parallel.lattice.stored(key), Some(count));
         }
     }
 
@@ -862,7 +870,7 @@ mod tests {
                 for rnode in twig.removable_nodes() {
                     let sub = twig.remove_node(rnode);
                     assert!(
-                        r.lattice.get_twig(&sub).is_some(),
+                        r.lattice.stored(&key_of(&sub)).is_some(),
                         "missing sub-pattern of a stored pattern"
                     );
                 }
@@ -880,7 +888,7 @@ mod tests {
         let mut q = Twig::single(a);
         q.add_child(q.root(), b);
         q.add_child(q.root(), b);
-        assert_eq!(r.lattice.get_twig(&q), Some(6));
+        assert_eq!(r.lattice.lookup_twig(&q), Lookup::Exact(6));
         assert_eq!(count_matches(&d, &q), 6);
     }
 
@@ -914,7 +922,7 @@ mod tests {
         let plain = mine_with_index(&index, cfg);
         assert_eq!(observed.lattice.len(), plain.lattice.len());
         for (key, count) in plain.lattice.iter() {
-            assert_eq!(observed.lattice.get(key), Some(count));
+            assert_eq!(observed.lattice.stored(key), Some(count));
         }
         let snap = rec.snapshot();
         assert_eq!(snap.counters[tl_obs::names::MINER_RUNS], 1);
@@ -946,13 +954,19 @@ mod tests {
         let labels = d.labels().clone();
         let s = labels.get("s").unwrap();
         // s/s edges: (1,2),(2,3),(2,4) = 3.
-        assert_eq!(r.lattice.get_twig(&Twig::path(&[s, s])), Some(3));
+        assert_eq!(
+            r.lattice.lookup_twig(&Twig::path(&[s, s])),
+            Lookup::Exact(3)
+        );
         // s/s/s chains: (1,2,3),(1,2,4) = 2.
-        assert_eq!(r.lattice.get_twig(&Twig::path(&[s, s, s])), Some(2));
+        assert_eq!(
+            r.lattice.lookup_twig(&Twig::path(&[s, s, s])),
+            Lookup::Exact(2)
+        );
         // s[s][s]: node 2 has two s children: 2 ordered pairs.
         let mut q = Twig::single(s);
         q.add_child(q.root(), s);
         q.add_child(q.root(), s);
-        assert_eq!(r.lattice.get_twig(&q), Some(2));
+        assert_eq!(r.lattice.lookup_twig(&q), Lookup::Exact(2));
     }
 }

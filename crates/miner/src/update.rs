@@ -22,8 +22,8 @@ use tl_twig::canonical::key_of;
 use tl_twig::{MatchCounter, Twig, TwigKey};
 use tl_xml::{DocIndex, Document, FxHashMap, FxHashSet, LabelId};
 
-use crate::lattice::MinedLattice;
 use crate::mine::MineConfig;
+use crate::Summary;
 
 /// Statistics of an incremental update.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -34,19 +34,20 @@ pub struct UpdateReport {
     pub recounted: usize,
 }
 
-/// Rebuilds a mined lattice for `doc_new`, reusing counts from `prev` for
+/// Rebuilds a mined summary for `doc_new`, reusing counts from `prev` for
 /// every pattern that contains none of the `touched` labels.
 ///
 /// `prev` must have been mined (at the same `max_size`) from the document
 /// this edit started from, and `touched` must cover the labels of all
 /// added/removed nodes (as produced by [`tl_xml::append_subtree`] /
-/// [`tl_xml::remove_subtree`]).
+/// [`tl_xml::remove_subtree`]). `prev` is only read; the caller keeps it
+/// until it swaps in the result.
 pub fn update_mined(
     doc_new: &Document,
-    prev: &MinedLattice,
+    prev: &Summary,
     touched: &[LabelId],
     config: MineConfig,
-) -> (MinedLattice, UpdateReport) {
+) -> (Summary, UpdateReport) {
     update_mined_with_index(doc_new, &DocIndex::new(doc_new), prev, touched, config)
 }
 
@@ -55,10 +56,10 @@ pub fn update_mined(
 pub fn update_mined_with_index(
     doc_new: &Document,
     index: &DocIndex,
-    prev: &MinedLattice,
+    prev: &Summary,
     touched: &[LabelId],
     config: MineConfig,
-) -> (MinedLattice, UpdateReport) {
+) -> (Summary, UpdateReport) {
     assert!(config.max_size >= 1);
     let touched_set: FxHashSet<u32> = touched.iter().map(|l| l.0).collect();
     let counter = MatchCounter::with_index(doc_new, index);
@@ -94,7 +95,7 @@ pub fn update_mined_with_index(
                     let unaffected = ext.nodes().all(|n| !touched_set.contains(&ext.label(n).0));
                     let count = if unaffected {
                         report.reused += 1;
-                        prev.get(&key).unwrap_or(0)
+                        prev.stored(&key).unwrap_or(0)
                     } else {
                         report.recounted += 1;
                         counter.count(&ext)
@@ -111,7 +112,8 @@ pub fn update_mined_with_index(
             break;
         }
     }
-    (MinedLattice::from_levels(levels), report)
+    let pruned = vec![false; levels.len()];
+    (Summary::from_parts(levels, pruned), report)
 }
 
 #[cfg(test)]
@@ -126,10 +128,10 @@ mod tests {
         parse_document(s.as_bytes(), ParseOptions::default()).unwrap()
     }
 
-    fn assert_lattices_equal(a: &MinedLattice, b: &MinedLattice, context: &str) {
+    fn assert_lattices_equal(a: &Summary, b: &Summary, context: &str) {
         assert_eq!(a.len(), b.len(), "{context}: pattern count");
         for (key, count) in a.iter() {
-            assert_eq!(b.get(key), Some(count), "{context}: count mismatch");
+            assert_eq!(b.stored(key), Some(count), "{context}: count mismatch");
         }
     }
 
@@ -230,6 +232,6 @@ mod tests {
         let (incremental, _) = update_mined(&edit.document, &prev, &edit.touched, cfg);
         let d = &edit.document;
         let q = tl_twig::parse_twig_in("r/z/w", d.labels()).unwrap();
-        assert_eq!(incremental.get_twig(&q), Some(1));
+        assert_eq!(incremental.lookup_twig(&q), crate::Lookup::Exact(1));
     }
 }

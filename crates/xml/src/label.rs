@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -33,6 +34,10 @@ impl fmt::Debug for LabelId {
 
 /// A bidirectional mapping between label strings and dense [`LabelId`]s.
 ///
+/// Each name is stored once, shared by the id-to-name vector and the
+/// name-to-id map, so interning a label allocates its name once and a
+/// clone copies the two tables but no name.
+///
 /// # Examples
 ///
 /// ```
@@ -48,8 +53,8 @@ impl fmt::Debug for LabelId {
 /// ```
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct LabelInterner {
-    names: Vec<String>,
-    ids: HashMap<String, LabelId>,
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, LabelId>,
 }
 
 impl LabelInterner {
@@ -65,8 +70,9 @@ impl LabelInterner {
             return id;
         }
         let id = LabelId(u32::try_from(self.names.len()).expect("more than u32::MAX labels"));
-        self.names.push(name.to_owned());
-        self.ids.insert(name.to_owned(), id);
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
         id
     }
 
@@ -99,7 +105,7 @@ impl LabelInterner {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, s)| (LabelId(i as u32), s.as_str()))
+            .map(|(i, s)| (LabelId(i as u32), &**s))
     }
 
     /// Interns every label of `other` (in `other`'s id order) and returns
