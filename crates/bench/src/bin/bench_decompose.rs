@@ -1,4 +1,4 @@
-//! Decomposition-path comparison runner; see
+//! Decomposition-path benchmark runner; see
 //! `tl_bench::experiments::decompose`.
 //!
 //! Runs the fixed acceptance fixture (XMark scale 8000, seed 42, 30

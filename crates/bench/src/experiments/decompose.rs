@@ -1,14 +1,16 @@
-//! Decomposition-path comparison (`bench_decompose`).
+//! Decomposition-path benchmark (`bench_decompose`).
 //!
-//! Times the interned-id, DAG-evaluating [`EstimationEngine`] against the
-//! preserved byte-keyed recursive [`ReferenceEngine`] on the accuracy-gate
-//! workload (XMark, sizes 4–6), cold (fresh cache, first batch) and warm
-//! (repeat batch against a populated cache), verifies the two paths return
-//! bit-identical estimates before any timing, and records everything —
-//! including the interner occupancy and the DAG dedup ratio — in
+//! Runs the interned-id, DAG-evaluating [`EstimationEngine`] on the
+//! accuracy-gate workload (XMark, sizes 4–6), cold (fresh cache, first
+//! batch) and warm (repeat batch against a populated cache). Before any
+//! timing it checks the engine bit for bit against the literal recursion
+//! of [`tl_oracle::twin`] and the engineless estimator. It counts the work
+//! of one cold batch (DAG nodes, DAG references, interner keys) and of one
+//! warm repeat, times both, and records everything in
 //! `BENCH_decompose.json` at the workspace root. The record uses the
 //! `tl-metrics/1` snapshot schema, so `treelattice metrics report
-//! BENCH_decompose.json` renders it like any other snapshot.
+//! BENCH_decompose.json` renders it like any other snapshot. The decompose
+//! gate checks the counts (see [`crate::gates::check_decompose`]).
 
 use std::time::Instant;
 
@@ -17,32 +19,23 @@ use tl_twig::Twig;
 use tl_workload::positive_workload_with_index;
 use tl_xml::DocIndex;
 use treelattice::{
-    BuildConfig, EngineConfig, EstimateOptions, EstimationEngine, Estimator, ReferenceEngine,
-    TreeLattice,
+    BuildConfig, EngineConfig, EstimateOptions, EstimationEngine, Estimator, TreeLattice,
 };
 
 use crate::{ExpConfig, Table};
 
-/// One estimator's cold/warm comparison cell.
+/// One estimator's cold/warm cell.
 #[derive(Clone, Debug)]
 pub struct DecomposeRow {
     /// Estimator name (`recursive` / `voting`).
     pub estimator: &'static str,
     /// Queries in the batch.
     pub queries: usize,
-    /// Median wall time of the byte-keyed recursive path, cold cache, ms.
-    pub reference_cold_ms: f64,
-    /// Median wall time of the byte-keyed recursive path, warm cache, ms.
-    pub reference_warm_ms: f64,
-    /// Median wall time of the id-keyed DAG path, cold cache, ms.
+    /// Median wall time of a batch on a fresh engine, ms.
     pub engine_cold_ms: f64,
-    /// Median wall time of the id-keyed DAG path, warm cache, ms.
+    /// Median wall time of a batch repeated on a populated cache, ms.
     pub engine_warm_ms: f64,
-    /// `reference_cold_ms / engine_cold_ms`.
-    pub cold_speedup: f64,
-    /// `reference_warm_ms / engine_warm_ms` — the headline number.
-    pub warm_speedup: f64,
-    /// Warm id-keyed path per query, nanoseconds.
+    /// Warm batch time per query, nanoseconds.
     pub warm_ns_per_query: f64,
     /// DAG references / DAG nodes over the cold batch; > 1 whenever
     /// decomposition operands are shared.
@@ -53,9 +46,14 @@ pub struct DecomposeRow {
     pub dag_nodes: u64,
     /// Total sub-twig references across the cold batch's DAGs.
     pub dag_refs: u64,
+    /// DAG nodes materialized by one warm repeat of the batch: 0 when
+    /// every root resolves from the cache.
+    pub warm_dag_nodes: u64,
+    /// DAG references of one warm repeat: the root probe of each query.
+    pub warm_dag_refs: u64,
 }
 
-/// The full comparison result.
+/// The full benchmark result.
 #[derive(Clone, Debug)]
 pub struct DecomposeBench {
     /// Configuration echo for the JSON record.
@@ -106,8 +104,8 @@ fn median_ms(repeats: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// One single-threaded engine: the reference is sequential, and a fair
-/// cold/warm comparison must not hand the DAG path extra cores.
+/// One single-threaded engine, so the counts and timings do not depend on
+/// the host's core count.
 fn fresh_engine() -> EstimationEngine {
     EstimationEngine::new(EngineConfig {
         threads: 1,
@@ -115,7 +113,7 @@ fn fresh_engine() -> EstimationEngine {
     })
 }
 
-/// Runs the comparison without printing or writing.
+/// Runs the benchmark without printing or writing.
 pub fn build(cfg: &ExpConfig) -> DecomposeBench {
     let doc = Dataset::Xmark.generate(GenConfig {
         seed: cfg.seed,
@@ -151,69 +149,54 @@ pub fn build(cfg: &ExpConfig) -> DecomposeBench {
         ("recursive", Estimator::Recursive),
         ("voting", Estimator::RecursiveVoting),
     ] {
-        // Bit-identity before any timing: the id-keyed DAG engine, the
-        // byte-keyed reference, and the engineless estimator must agree on
+        // Bit-identity before any timing: the engine's cold batch, the
+        // literal recursion, and the engineless estimator must agree on
         // every query, bit for bit.
         let engine = fresh_engine();
-        let reference = ReferenceEngine::new();
         let got = engine.estimate_batch(&lattice, &twigs, estimator, &opts);
-        let want = reference.estimate_batch(&lattice, &twigs, estimator, &opts);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        for (i, (g, twig)) in got.iter().zip(&twigs).enumerate() {
+            let want = tl_oracle::twin::estimate(lattice.summary(), twig, estimator, &opts).value;
             assert_eq!(
                 g.to_bits(),
-                w.to_bits(),
-                "{name}: engine diverged from reference on query {i}"
+                want.to_bits(),
+                "{name}: engine diverged from the recursion on query {i}"
             );
-            let direct = lattice.estimate_with(&twigs[i], estimator, &opts);
+            let direct = lattice.estimate_with(twig, estimator, &opts);
             assert_eq!(
-                w.to_bits(),
+                want.to_bits(),
                 direct.to_bits(),
-                "{name}: reference diverged from estimator on query {i}"
+                "{name}: the recursion diverged from the estimator on query {i}"
             );
         }
+        // The work of that cold batch, then of one warm repeat.
+        let cold = engine.stats();
+        let _ = engine.estimate_batch(&lattice, &twigs, estimator, &opts);
+        let warm = engine.stats();
 
         // Cold: fresh cache, one batch. The fresh state is inside the
         // closure, so every sample pays first-sighting interning and the
-        // full DAG expansion (or, for the reference, the full recursion).
-        let reference_cold_ms = median_ms(COLD_REPEATS, 1, || {
-            let r = ReferenceEngine::new();
-            std::hint::black_box(r.estimate_batch(&lattice, &twigs, estimator, &opts));
-        });
+        // full DAG expansion.
         let engine_cold_ms = median_ms(COLD_REPEATS, 1, || {
             let e = fresh_engine();
             std::hint::black_box(e.estimate_batch(&lattice, &twigs, estimator, &opts));
         });
-
-        // Warm: repeat the batch against the populated caches from the
-        // verification run above.
-        let reference_warm_ms = median_ms(WARM_REPEATS, WARM_ITERS, || {
-            std::hint::black_box(reference.estimate_batch(&lattice, &twigs, estimator, &opts));
-        });
+        // Warm: repeat the batch against the populated cache.
         let engine_warm_ms = median_ms(WARM_REPEATS, WARM_ITERS, || {
             std::hint::black_box(engine.estimate_batch(&lattice, &twigs, estimator, &opts));
         });
 
-        // Structural stats from one cold batch, uncontaminated by the
-        // repeated warm runs (warm root hits add no DAG nodes anyway, but
-        // the cold engine's counters are the numbers worth pinning).
-        let cold_engine = fresh_engine();
-        let _ = cold_engine.estimate_batch(&lattice, &twigs, estimator, &opts);
-        let stats = cold_engine.stats();
-
         rows.push(DecomposeRow {
             estimator: name,
             queries: twigs.len(),
-            reference_cold_ms,
-            reference_warm_ms,
             engine_cold_ms,
             engine_warm_ms,
-            cold_speedup: reference_cold_ms / engine_cold_ms.max(1e-9),
-            warm_speedup: reference_warm_ms / engine_warm_ms.max(1e-9),
             warm_ns_per_query: engine_warm_ms * 1e6 / twigs.len().max(1) as f64,
-            dedup_ratio: stats.dedup_ratio(),
-            interner_keys: stats.interner_keys,
-            dag_nodes: stats.dag_nodes,
-            dag_refs: stats.dag_refs,
+            dedup_ratio: cold.dedup_ratio(),
+            interner_keys: cold.interner_keys,
+            dag_nodes: cold.dag_nodes,
+            dag_refs: cold.dag_refs,
+            warm_dag_nodes: warm.dag_nodes - cold.dag_nodes,
+            warm_dag_refs: warm.dag_refs - cold.dag_refs,
         });
     }
     DecomposeBench {
@@ -243,28 +226,24 @@ pub fn to_snapshot(b: &DecomposeBench) -> tl_obs::Snapshot {
     );
     for r in &b.rows {
         let p = format!("bench.decompose.{}", r.estimator);
-        snap.counters
-            .insert(format!("{p}.queries"), r.queries as u64);
-        snap.counters
-            .insert(format!("{p}.interner_keys"), r.interner_keys as u64);
-        snap.counters.insert(format!("{p}.dag_nodes"), r.dag_nodes);
-        snap.counters.insert(format!("{p}.dag_refs"), r.dag_refs);
-        snap.gauges
-            .insert(format!("{p}.reference_cold_ms"), r.reference_cold_ms);
-        snap.gauges
-            .insert(format!("{p}.reference_warm_ms"), r.reference_warm_ms);
-        snap.gauges
-            .insert(format!("{p}.engine_cold_ms"), r.engine_cold_ms);
-        snap.gauges
-            .insert(format!("{p}.engine_warm_ms"), r.engine_warm_ms);
-        snap.gauges
-            .insert(format!("{p}.cold_speedup"), r.cold_speedup);
-        snap.gauges
-            .insert(format!("{p}.warm_speedup"), r.warm_speedup);
-        snap.gauges
-            .insert(format!("{p}.warm_ns_per_query"), r.warm_ns_per_query);
-        snap.gauges
-            .insert(format!("{p}.dedup_ratio"), r.dedup_ratio);
+        for (name, count) in [
+            ("queries", r.queries as u64),
+            ("interner_keys", r.interner_keys as u64),
+            ("dag_nodes", r.dag_nodes),
+            ("dag_refs", r.dag_refs),
+            ("warm_dag_nodes", r.warm_dag_nodes),
+            ("warm_dag_refs", r.warm_dag_refs),
+        ] {
+            snap.counters.insert(format!("{p}.{name}"), count);
+        }
+        for (name, value) in [
+            ("engine_cold_ms", r.engine_cold_ms),
+            ("engine_warm_ms", r.engine_warm_ms),
+            ("warm_ns_per_query", r.warm_ns_per_query),
+            ("dedup_ratio", r.dedup_ratio),
+        ] {
+            snap.gauges.insert(format!("{p}.{name}"), value);
+        }
     }
     snap
 }
@@ -278,16 +257,16 @@ pub fn to_json(b: &DecomposeBench) -> String {
 pub fn run(cfg: &ExpConfig) -> DecomposeBench {
     let b = build(cfg);
     let mut t = Table::new(
-        "Decomposition path: reference (byte-keyed recursion) vs engine (id-keyed DAG)",
+        "Decomposition path: id-keyed DAG engine, cold and warm",
         &[
             "Estimator",
             "Queries",
-            "Ref cold",
-            "Engine cold",
-            "Ref warm",
-            "Engine warm",
-            "Warm speedup",
+            "Cold",
+            "Warm",
             "ns/query",
+            "DAG nodes",
+            "DAG refs",
+            "Keys",
             "Dedup",
         ],
     );
@@ -295,12 +274,12 @@ pub fn run(cfg: &ExpConfig) -> DecomposeBench {
         t.row(vec![
             r.estimator.to_owned(),
             r.queries.to_string(),
-            format!("{:.2}ms", r.reference_cold_ms),
             format!("{:.2}ms", r.engine_cold_ms),
-            format!("{:.3}ms", r.reference_warm_ms),
             format!("{:.3}ms", r.engine_warm_ms),
-            format!("{:.2}x", r.warm_speedup),
             format!("{:.0}", r.warm_ns_per_query),
+            r.dag_nodes.to_string(),
+            r.dag_refs.to_string(),
+            r.interner_keys.to_string(),
             format!("{:.2}x", r.dedup_ratio),
         ]);
     }
@@ -327,8 +306,7 @@ mod tests {
         let b = build(&cfg);
         assert_eq!(b.rows.len(), 2, "recursive + voting");
         for r in &b.rows {
-            assert!(r.engine_cold_ms >= 0.0 && r.reference_cold_ms >= 0.0);
-            assert!(r.warm_speedup.is_finite() && r.cold_speedup.is_finite());
+            assert!(r.engine_cold_ms >= 0.0 && r.engine_warm_ms >= 0.0);
             assert!(
                 r.dedup_ratio > 1.0,
                 "{}: dedup ratio {} not > 1",
@@ -337,6 +315,16 @@ mod tests {
             );
             assert!(r.dag_refs > r.dag_nodes);
             assert!(r.interner_keys > 0);
+            assert_eq!(
+                r.warm_dag_nodes, 0,
+                "{}: a warm repeat builds nothing",
+                r.estimator
+            );
+            assert_eq!(
+                r.warm_dag_refs, r.queries as u64,
+                "{}: one root probe per query",
+                r.estimator
+            );
         }
         // The record is a valid tl-metrics/1 snapshot and round-trips.
         let snap = to_snapshot(&b);
@@ -348,7 +336,7 @@ mod tests {
         );
         assert!(snap
             .gauges
-            .contains_key("bench.decompose.recursive.warm_speedup"));
+            .contains_key("bench.decompose.recursive.engine_warm_ms"));
         assert!(snap
             .counters
             .contains_key("bench.decompose.voting.dag_nodes"));

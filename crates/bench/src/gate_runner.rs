@@ -247,7 +247,7 @@ pub fn run_gate(gate: Gate, opts: &GateRun) -> i32 {
                 "decompose gate: xmark scale {} seed {} k {} ({} queries/size)",
                 cfg.scale, cfg.seed, cfg.k, cfg.queries
             );
-            let _ = decompose::build(&cfg);
+            // Counts, not timings: one run measures them exactly.
             let measured = decompose::build(&cfg);
             if opts.write {
                 return write_snapshot(&path, &gates::decompose_thresholds(&measured, &cfg));

@@ -13,13 +13,15 @@
 //! * **Perf smoke** ([`measure_perf`] / [`check_perf`]): times the
 //!   `bench matcher` comparison on a tiny fixture and fails when it runs
 //!   more than `factor`× slower than `gate.perf.matcher_build_ms`.
-//! * **Decompose** ([`check_decompose`]): runs the `bench_decompose`
-//!   comparison on a reduced fixture and fails when the id-keyed DAG
-//!   engine's warm-batch speedup over the byte-keyed recursive reference
-//!   falls below `gate.decompose.min_warm_speedup`, its cold-batch
-//!   speedup below `gate.decompose.min_cold_speedup`, or the DAG dedup
-//!   ratio below `gate.decompose.min_dedup_ratio`. Fail-closed: a
-//!   missing threshold gauge is itself a failure.
+//! * **Decompose** ([`check_decompose`]): runs `bench_decompose` on a
+//!   reduced fixture and counts the engine's work, which no host changes.
+//!   It fails when a cold batch builds more DAG nodes, DAG references or
+//!   interner keys than its estimator's committed ceiling
+//!   (`gate.decompose.max_{dag_nodes,dag_refs,interner_keys}.<estimator>`),
+//!   when a warm repeat builds a node or makes more than one reference
+//!   per query, or when the DAG dedup ratio falls below
+//!   `gate.decompose.min_dedup_ratio`. Fail-closed: a missing threshold
+//!   gauge is itself a failure.
 //! * **Corpus** ([`check_corpus`]): mines the reduced corpus fixture
 //!   sequentially and sharded, and fails unless every sharded build is
 //!   bit-identical to the sequential one and (on multi-core hosts) the
@@ -67,12 +69,23 @@ pub const MAX_MEAN_ERROR_PCT: &str = "gate.accuracy.max_mean_error_pct";
 pub const MIN_HIT_RATE: &str = "gate.engine.min_hit_rate";
 /// Baseline gauge name for the perf smoke wall-clock.
 pub const MATCHER_BUILD_MS: &str = "gate.perf.matcher_build_ms";
-/// Threshold gauge name for the decompose warm-batch speedup floor.
-pub const MIN_WARM_SPEEDUP: &str = "gate.decompose.min_warm_speedup";
+/// Threshold gauge name prefix for the per-estimator ceiling on DAG nodes
+/// one cold decompose batch builds.
+pub const MAX_DAG_NODES: &str = "gate.decompose.max_dag_nodes";
+/// Threshold gauge name prefix for the per-estimator ceiling on DAG
+/// references one cold decompose batch makes.
+pub const MAX_DAG_REFS: &str = "gate.decompose.max_dag_refs";
+/// Threshold gauge name prefix for the per-estimator ceiling on interner
+/// keys one cold decompose batch assigns.
+pub const MAX_INTERNER_KEYS: &str = "gate.decompose.max_interner_keys";
+/// Threshold gauge name for the DAG nodes a warm repeat of the decompose
+/// batch may build: 0, every root resolves from the cache.
+pub const MAX_WARM_DAG_NODES: &str = "gate.decompose.max_warm_dag_nodes";
+/// Threshold gauge name for the DAG references per query of a warm
+/// repeat: 1, the root probe.
+pub const MAX_WARM_REFS_PER_QUERY: &str = "gate.decompose.max_warm_refs_per_query";
 /// Threshold gauge name for the decompose DAG dedup-ratio floor.
 pub const MIN_DEDUP_RATIO: &str = "gate.decompose.min_dedup_ratio";
-/// Threshold gauge name for the decompose cold-batch speedup floor.
-pub const MIN_COLD_SPEEDUP: &str = "gate.decompose.min_cold_speedup";
 /// Threshold gauge name for the corpus parallel-construction speedup floor.
 pub const MIN_PARALLEL_SPEEDUP: &str = "gate.corpus.min_parallel_speedup";
 /// Threshold gauge marking the shard-merge bit-identity check as required
@@ -346,24 +359,13 @@ pub fn decompose_config() -> ExpConfig {
     }
 }
 
-/// Renders a measured decompose run as a thresholds snapshot with
-/// headroom: the warm and cold speedup floors at half the worst measured
-/// row (timing ratios are same-machine and noise-robust, but CI runners
-/// throttle), the dedup floor at `0.9×` the worst measured row. All
-/// floors are clamped to at least 1: the gate's contract is that the DAG
-/// path is never slower than the recursion it replaced — cold or warm —
-/// and always shares at least some operands.
+/// Renders a measured decompose run as a thresholds snapshot: the cold
+/// batch's counts as exact ceilings (they are deterministic, so any extra
+/// node, reference or key is a regression), the warm contract of no node
+/// and one reference per query, and the dedup floor at `0.9×` the worst
+/// measured row, clamped to at least 1 (every workload shares some
+/// operands).
 pub fn decompose_thresholds(b: &decompose::DecomposeBench, cfg: &ExpConfig) -> Snapshot {
-    let worst_speedup = b
-        .rows
-        .iter()
-        .map(|r| r.warm_speedup)
-        .fold(f64::INFINITY, f64::min);
-    let worst_cold = b
-        .rows
-        .iter()
-        .map(|r| r.cold_speedup)
-        .fold(f64::INFINITY, f64::min);
     let worst_dedup = b
         .rows
         .iter()
@@ -377,69 +379,65 @@ pub fn decompose_thresholds(b: &decompose::DecomposeBench, cfg: &ExpConfig) -> S
     snap.meta.insert("k".into(), cfg.k.to_string());
     snap.meta
         .insert("queries_per_size".into(), cfg.queries.to_string());
-    snap.gauges
-        .insert(MIN_WARM_SPEEDUP.into(), (worst_speedup * 0.5).max(1.0));
-    snap.gauges
-        .insert(MIN_COLD_SPEEDUP.into(), (worst_cold * 0.5).max(1.0));
+    for r in &b.rows {
+        for (prefix, _, count) in cold_counts(r) {
+            snap.gauges
+                .insert(format!("{prefix}.{}", r.estimator), count as f64);
+        }
+    }
+    snap.gauges.insert(MAX_WARM_DAG_NODES.into(), 0.0);
+    snap.gauges.insert(MAX_WARM_REFS_PER_QUERY.into(), 1.0);
     snap.gauges
         .insert(MIN_DEDUP_RATIO.into(), (worst_dedup * 0.9).max(1.0));
     snap
 }
 
+/// A row's cold-batch counts: ceiling gauge prefix, name, count.
+fn cold_counts(r: &decompose::DecomposeRow) -> [(&'static str, &'static str, u64); 3] {
+    [
+        (MAX_DAG_NODES, "DAG nodes", r.dag_nodes),
+        (MAX_DAG_REFS, "DAG refs", r.dag_refs),
+        (MAX_INTERNER_KEYS, "interner keys", r.interner_keys as u64),
+    ]
+}
+
 /// Compares a decompose measurement against a thresholds snapshot. Every
-/// estimator row must clear both floors; a missing gauge is a failure.
+/// estimator row must stay within each ceiling and above the dedup floor;
+/// a missing gauge is a failure.
 pub fn check_decompose(b: &decompose::DecomposeBench, thresholds: &Snapshot) -> GateReport {
     let mut report = GateReport::default();
-    match thresholds.gauges.get(MIN_WARM_SPEEDUP) {
-        Some(&min) => {
-            for r in &b.rows {
-                report.check(
-                    r.warm_speedup >= min,
-                    format!(
-                        "{}: warm speedup {:.2}x over byte-keyed recursion (min {min:.2}x)",
-                        r.estimator, r.warm_speedup
-                    ),
-                );
-            }
+    let mut check =
+        |gauge: &str, ok: &dyn Fn(f64) -> bool, line: String| match thresholds.gauges.get(gauge) {
+            Some(&bound) => report.check(ok(bound), format!("{line} (bound {bound})")),
+            None => report.check(false, format!("thresholds missing gauge `{gauge}`")),
+        };
+    for r in &b.rows {
+        let e = r.estimator;
+        for (prefix, what, count) in cold_counts(r) {
+            check(
+                &format!("{prefix}.{e}"),
+                &|max| count as f64 <= max,
+                format!("{e}: cold batch made {count} {what}"),
+            );
         }
-        None => report.check(
-            false,
-            format!("thresholds missing gauge `{MIN_WARM_SPEEDUP}`"),
-        ),
-    }
-    match thresholds.gauges.get(MIN_COLD_SPEEDUP) {
-        Some(&min) => {
-            for r in &b.rows {
-                report.check(
-                    r.cold_speedup >= min,
-                    format!(
-                        "{}: cold speedup {:.2}x over byte-keyed recursion (min {min:.2}x)",
-                        r.estimator, r.cold_speedup
-                    ),
-                );
-            }
-        }
-        None => report.check(
-            false,
-            format!("thresholds missing gauge `{MIN_COLD_SPEEDUP}`"),
-        ),
-    }
-    match thresholds.gauges.get(MIN_DEDUP_RATIO) {
-        Some(&min) => {
-            for r in &b.rows {
-                report.check(
-                    r.dedup_ratio >= min,
-                    format!(
-                        "{}: DAG dedup ratio {:.2}x (min {min:.2}x)",
-                        r.estimator, r.dedup_ratio
-                    ),
-                );
-            }
-        }
-        None => report.check(
-            false,
-            format!("thresholds missing gauge `{MIN_DEDUP_RATIO}`"),
-        ),
+        check(
+            MAX_WARM_DAG_NODES,
+            &|max| r.warm_dag_nodes as f64 <= max,
+            format!("{e}: warm repeat built {} DAG nodes", r.warm_dag_nodes),
+        );
+        check(
+            MAX_WARM_REFS_PER_QUERY,
+            &|max| r.warm_dag_refs as f64 <= max * r.queries as f64,
+            format!(
+                "{e}: warm repeat made {} DAG refs over {} queries",
+                r.warm_dag_refs, r.queries
+            ),
+        );
+        check(
+            MIN_DEDUP_RATIO,
+            &|min| r.dedup_ratio >= min,
+            format!("{e}: DAG dedup ratio {:.2}x", r.dedup_ratio),
+        );
     }
     report
 }
@@ -867,83 +865,108 @@ mod tests {
         assert!(!check_perf(100.0, &Snapshot::default(), 3.0).passed());
     }
 
-    #[test]
-    fn decompose_gate_checks_synthetic_rows() {
-        let row = |speedup: f64, dedup: f64| decompose::DecomposeRow {
-            estimator: "recursive",
+    fn decompose_row(estimator: &'static str) -> decompose::DecomposeRow {
+        decompose::DecomposeRow {
+            estimator,
             queries: 10,
-            reference_cold_ms: 2.0,
-            reference_warm_ms: 1.0,
             engine_cold_ms: 1.0,
-            engine_warm_ms: 1.0 / speedup,
-            cold_speedup: 2.0,
-            warm_speedup: speedup,
+            engine_warm_ms: 0.1,
             warm_ns_per_query: 100.0,
-            dedup_ratio: dedup,
-            interner_keys: 10,
-            dag_nodes: 10,
-            dag_refs: (10.0 * dedup) as u64,
-        };
-        let bench = |speedup: f64, dedup: f64| decompose::DecomposeBench {
+            dedup_ratio: 2.0,
+            interner_keys: 15,
+            dag_nodes: 20,
+            dag_refs: 40,
+            warm_dag_nodes: 0,
+            warm_dag_refs: 10,
+        }
+    }
+
+    fn decompose_bench(rows: Vec<decompose::DecomposeRow>) -> decompose::DecomposeBench {
+        decompose::DecomposeBench {
             scale: 2_000,
             seed: 42,
             host_cpus: 2,
-            rows: vec![row(speedup, dedup)],
-        };
-        let cfg = decompose_config();
-        let good = bench(4.0, 2.0);
-        let thresholds = decompose_thresholds(&good, &cfg);
-        // Floors: half the measured speedups, 0.9x the measured dedup.
-        assert_eq!(thresholds.gauges[MIN_WARM_SPEEDUP], 2.0);
-        assert_eq!(thresholds.gauges[MIN_COLD_SPEEDUP], 1.0);
+            rows,
+        }
+    }
+
+    #[test]
+    fn decompose_gate_checks_synthetic_rows() {
+        let good = decompose_bench(vec![decompose_row("recursive"), decompose_row("voting")]);
+        let thresholds = decompose_thresholds(&good, &decompose_config());
+        // Ceilings are the measured counts; the dedup floor is 0.9x.
+        assert_eq!(
+            thresholds.gauges["gate.decompose.max_dag_nodes.voting"],
+            20.0
+        );
+        assert_eq!(
+            thresholds.gauges["gate.decompose.max_dag_refs.recursive"],
+            40.0
+        );
+        assert_eq!(
+            thresholds.gauges["gate.decompose.max_interner_keys.voting"],
+            15.0
+        );
+        assert_eq!(thresholds.gauges[MAX_WARM_DAG_NODES], 0.0);
+        assert_eq!(thresholds.gauges[MAX_WARM_REFS_PER_QUERY], 1.0);
         assert_eq!(thresholds.gauges[MIN_DEDUP_RATIO], 1.8);
-        assert!(check_decompose(&good, &thresholds).passed());
-        // A slower or less-shared build fails...
-        assert!(!check_decompose(&bench(1.5, 2.0), &thresholds).passed());
-        assert!(!check_decompose(&bench(4.0, 1.2), &thresholds).passed());
-        // ...and so does an empty thresholds file (fail-closed).
+        let report = check_decompose(&good, &thresholds);
+        assert!(report.passed(), "{:?}", report.failures);
+        // Less sharing fails the floor...
+        let mut shallow = decompose_row("voting");
+        shallow.dedup_ratio = 1.2;
+        assert!(!check_decompose(&decompose_bench(vec![shallow]), &thresholds).passed());
+        // ...and the floor never drops below 1.
+        let mut weak = decompose_row("voting");
+        weak.dedup_ratio = 1.05;
+        let weak = decompose_thresholds(&decompose_bench(vec![weak]), &decompose_config());
+        assert_eq!(weak.gauges[MIN_DEDUP_RATIO], 1.0);
+        // A thresholds file missing any one gauge fails closed.
+        for gauge in thresholds.gauges.keys() {
+            let mut partial = thresholds.clone();
+            partial.gauges.remove(gauge);
+            let report = check_decompose(&good, &partial);
+            assert!(!report.passed(), "{gauge}");
+            assert!(
+                report.failures.iter().all(|f| f.contains("missing gauge")),
+                "{gauge}: {:?}",
+                report.failures
+            );
+        }
         let report = check_decompose(&good, &Snapshot::default());
         assert!(!report.passed());
         assert!(report.failures.iter().all(|f| f.contains("missing gauge")));
-        // Floors never drop below 1 even for a barely-faster measurement.
-        let weak = decompose_thresholds(&bench(1.1, 1.05), &cfg);
-        assert_eq!(weak.gauges[MIN_WARM_SPEEDUP], 1.0);
-        assert_eq!(weak.gauges[MIN_COLD_SPEEDUP], 1.0);
-        assert_eq!(weak.gauges[MIN_DEDUP_RATIO], 1.0);
     }
 
     #[test]
     fn decompose_gate_fails_a_cold_regression() {
-        // A row that is fast warm but *slower than the reference cold* —
-        // the regression this floor exists to catch — must fail against
-        // thresholds demanding cold parity.
-        let slow_cold = decompose::DecomposeBench {
-            scale: 2_000,
-            seed: 42,
-            host_cpus: 2,
-            rows: vec![decompose::DecomposeRow {
-                estimator: "recursive",
-                queries: 10,
-                reference_cold_ms: 1.0,
-                reference_warm_ms: 1.0,
-                engine_cold_ms: 1.3,
-                engine_warm_ms: 0.2,
-                cold_speedup: 0.79,
-                warm_speedup: 5.0,
-                warm_ns_per_query: 100.0,
-                dedup_ratio: 2.0,
-                interner_keys: 10,
-                dag_nodes: 10,
-                dag_refs: 20,
-            }],
-        };
-        let mut thresholds = Snapshot::default();
-        thresholds.gauges.insert(MIN_WARM_SPEEDUP.into(), 1.0);
-        thresholds.gauges.insert(MIN_COLD_SPEEDUP.into(), 1.0);
-        thresholds.gauges.insert(MIN_DEDUP_RATIO.into(), 1.0);
-        let report = check_decompose(&slow_cold, &thresholds);
-        assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("cold speedup")));
+        // One more cold node, reference or interner key than committed —
+        // the work a lost dedup or a skipped root probe adds — fails.
+        let good = decompose_bench(vec![decompose_row("recursive")]);
+        let thresholds = decompose_thresholds(&good, &decompose_config());
+        for what in ["DAG nodes", "DAG refs", "interner keys"] {
+            let mut row = decompose_row("recursive");
+            match what {
+                "DAG nodes" => row.dag_nodes += 1,
+                "DAG refs" => row.dag_refs += 1,
+                _ => row.interner_keys += 1,
+            }
+            let report = check_decompose(&decompose_bench(vec![row]), &thresholds);
+            assert_eq!(report.failures.len(), 1, "{what}: {:?}", report.failures);
+            assert!(
+                report.failures[0].contains(what),
+                "{what}: {:?}",
+                report.failures
+            );
+        }
+        // A warm repeat that builds a node, or probes more than its roots,
+        // fails too.
+        let mut warm_node = decompose_row("recursive");
+        warm_node.warm_dag_nodes = 1;
+        warm_node.warm_dag_refs += 3;
+        let report = check_decompose(&decompose_bench(vec![warm_node]), &thresholds);
+        assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
+        assert!(report.failures.iter().all(|f| f.contains("warm repeat")));
     }
 
     #[test]

@@ -386,7 +386,7 @@ mod tests {
     use tl_xml::{parse_document, ParseOptions};
 
     use super::*;
-    use crate::{BuildConfig, Estimator};
+    use crate::{estimate_interval, explain, BuildConfig, Estimator};
 
     fn sample_lattice() -> TreeLattice {
         let doc = parse_document(
@@ -488,6 +488,64 @@ mod tests {
                 assert_eq!(want.to_bits(), from_mmap.to_bits(), "{est} {q} (mmap)");
             }
         }
+    }
+
+    /// Intervals and EXPLAIN traces walk the same DAG on either backend, so
+    /// the mmap catalog must answer them exactly as the in-memory summary
+    /// does, pruned or not.
+    #[test]
+    fn interval_and_explain_agree_across_backends() {
+        let _fp = tl_fault::failpoints::shared();
+        let doc = tl_datagen::random_document(&tl_datagen::RandomTreeConfig {
+            seed: 7,
+            nodes: 300,
+            labels: 5,
+            max_children: 5,
+        });
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+        let random: Vec<Twig> = (0..20)
+            .filter_map(|i| tl_workload::sample::random_occurred_twig(&doc, &mut rng, 4 + i % 5))
+            .collect();
+        let sample = sample_lattice();
+        let fixed: Vec<Twig> = ["a", "a/b", "a[b][c]", "r[a[b]][d]", "r[a[b][c]][d[a[c]]]"]
+            .iter()
+            .map(|q| sample.parse_query(q).unwrap())
+            .collect();
+        let cases = [
+            (sample, fixed),
+            (TreeLattice::build(&doc, &BuildConfig::with_k(3)), random),
+        ];
+        let mut checked = 0;
+        for (mut lat, twigs) in cases {
+            for pruned in [false, true] {
+                if pruned {
+                    lat.prune(0.0);
+                }
+                let path = write_lattice(&lat, &format!("walks-{checked}.tlat"));
+                let mmap = MmapCatalog::open(&path).unwrap();
+                for twig in &twigs {
+                    let q = twig.to_query_string(lat.labels());
+                    let (want, got) = (
+                        estimate_interval(lat.summary(), twig),
+                        estimate_interval(&mmap, twig),
+                    );
+                    for (w, g) in [
+                        (want.low, got.low),
+                        (want.estimate, got.estimate),
+                        (want.high, got.high),
+                    ] {
+                        assert_eq!(w.to_bits(), g.to_bits(), "interval of {q}, pruned {pruned}");
+                    }
+                    assert_eq!(
+                        explain(lat.summary(), lat.labels(), twig),
+                        explain(&mmap, Catalog::labels(&mmap), twig),
+                        "explain {q}, pruned {pruned}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 40, "only {checked} twigs compared");
     }
 
     #[test]

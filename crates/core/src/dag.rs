@@ -1,13 +1,15 @@
-//! The iterative decomposition-DAG evaluator: the one estimation kernel
-//! behind every estimate, plain, batched, catalog-backed or resilient.
+//! The iterative decomposition-DAG evaluator: the one walker over the
+//! paper's recursive decomposition (Figure 4, Lemma 1). Every estimate,
+//! plain, batched, catalog-backed or resilient, runs on it, and so do the
+//! diagnostics that explain one: the interval of [`crate::interval`] and
+//! the trace of [`mod@crate::explain`] read the DAG that [`walk_dag`]
+//! evaluates.
 //!
-//! The recursive scheme (Figure 4) re-derives the same sub-twigs constantly:
-//! the three operands of neighboring removable pairs overlap in all but one
-//! or two nodes, so one voting step over `p` pairs references `3p` operands
-//! of which typically far fewer are distinct. The recursive formulation
-//! (kept only as the differential baseline in [`crate::reference`]) hides
-//! that sharing inside a byte-keyed memo probed with freshly encoded,
-//! freshly boxed keys. This module makes the sharing explicit:
+//! Written as a recursion, the scheme re-derives the same sub-twigs
+//! constantly: the three operands of neighboring removable pairs overlap in
+//! all but one or two nodes, so one voting step over `p` pairs references
+//! `3p` operands of which typically far fewer are distinct. This module
+//! makes the sharing explicit:
 //!
 //! 1. every sub-twig is interned to a dense [`TwigId`] once (the
 //!    [`IdCache`]'s interner), after which all bookkeeping is `u32`s;
@@ -21,14 +23,15 @@
 //!    unique node is evaluated exactly once, its value stored back to the
 //!    shared cache so later queries in the batch resolve it on sight.
 //!
-//! The arithmetic per node replicates the recursion's `decompose` loop
-//! verbatim (same pair enumeration order, same `<= 0` short-circuit
-//! structure, same summation order), so results are bit-identical to the
-//! reference recursion; the only observable difference is *eagerness* —
-//! operands the recursion skipped past a zero factor still get evaluated
-//! and cached, which can only add cache entries, never change a value
-//! (every sub-twig's estimate is a pure function of the summary and the
-//! voting class).
+//! The arithmetic per node is Lemma 1 averaged over the taken pairs, in the
+//! paper's pair enumeration order, with the same `<= 0` short-circuit
+//! structure and summation order as the literal recursion that
+//! `tl_oracle::twin` keeps for the tests, so results are bit-identical to
+//! it. The only observable difference is *eagerness*: operands the
+//! recursion skips past a zero factor still get evaluated and cached,
+//! which can only add cache entries, never change a value (every
+//! sub-twig's estimate is a pure function of the summary and the voting
+//! class).
 //!
 //! Given a [`Budget`] (the degradation ladder in [`crate::resilient`]),
 //! the evaluator checks the deadline before every root probe — each
@@ -39,14 +42,15 @@
 //! thread's scratch is reset on its next use. Without a budget nothing is
 //! checked.
 //!
-//! Three cold-path economies keep single-query latency below the reference
-//! engine's (the `gate.decompose.min_cold_speedup` floor): the arena
-//! buffers live in a thread-local [`DagScratch`] pool, so a cold query
-//! reuses the previous query's capacity instead of growing fresh vectors;
-//! roots the pattern store can answer directly (within-`k` patterns —
-//! exact counts or trivially-zero levels) return after one store probe
-//! without touching the arenas at all; and expansion never leaves the
-//! canonical byte domain. A pending node keeps its canonical bytes, and a
+//! Three cold-path economies keep the work per query small, and the
+//! decompose gate counts it (DAG nodes, references and interner keys per
+//! workload, and one reference per warm query): the arena buffers live in
+//! a thread-local [`DagScratch`] pool, so a cold query reuses the previous
+//! query's capacity instead of growing fresh vectors; roots the pattern
+//! store can answer directly (within-`k` patterns — exact counts or
+//! trivially-zero levels) return after one store probe without touching
+//! the arenas at all; and expansion never leaves the canonical byte
+//! domain. A pending node keeps its canonical bytes, and a
 //! [`RemovalView`] over them writes each operand's bytes straight from the
 //! parent's, copying untouched subtrees and re-emitting only the ancestors
 //! of the removed nodes. `T − x` is derived once per removable node `x`
@@ -332,6 +336,15 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     /// one bottom-up pass, returns the root's estimate. Callable repeatedly
     /// on the same evaluator — fix-sized windows share the node table.
     fn eval_twig(&mut self, twig: &Twig) -> Result<f64, Fault> {
+        let root = self.expand_twig(twig)?;
+        self.evaluate()?;
+        Ok(self.resolved(root))
+    }
+
+    /// The first half of [`eval_twig`](Self::eval_twig): interns `twig`
+    /// and expands everything reachable from it, leaving each node to
+    /// decompose pending with its pair range. Returns the root's index.
+    fn expand_twig(&mut self, twig: &Twig) -> Result<u32, Fault> {
         self.meter.check_deadline()?;
         let mut buf = std::mem::take(&mut self.scratch.root_key);
         self.scratch.encoder.encode_into(twig, &mut buf);
@@ -339,8 +352,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         self.scratch.root_key = buf;
         let root = root?;
         self.build()?;
-        self.evaluate()?;
-        Ok(self.resolved(root))
+        Ok(root)
     }
 
     /// [`eval_twig`](Self::eval_twig) for a root whose canonical bytes the
@@ -526,6 +538,98 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     }
 }
 
+/// A decomposition DAG evaluated to the end, as [`walk_dag`] hands it
+/// over: every node reachable from the root (node 0), with its value and
+/// the operand triples of the pairs it was decomposed over.
+pub(crate) struct DagWalk<'a> {
+    nodes: &'a [DagNode],
+    pairs: &'a [[u32; 3]],
+    /// Per node, the range of its taken pairs in `pairs`; empty for a node
+    /// the store answered.
+    taken: &'a [(u32, u32)],
+}
+
+impl DagWalk<'_> {
+    /// Number of distinct sub-twigs in the DAG.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The interned id of node `ix`.
+    pub(crate) fn id(&self, ix: u32) -> TwigId {
+        self.nodes[ix as usize].id
+    }
+
+    /// The node count of node `ix`'s sub-twig.
+    pub(crate) fn size(&self, ix: u32) -> usize {
+        self.nodes[ix as usize].size as usize
+    }
+
+    /// The estimate of node `ix`: its stored count, or its decomposition.
+    pub(crate) fn value(&self, ix: u32) -> f64 {
+        match self.nodes[ix as usize].state {
+            State::Resolved(v) => v,
+            State::Pending { .. } => unreachable!("a walked DAG is fully evaluated"),
+        }
+    }
+
+    /// The `[T − v, T − u, T − u − v]` node triples of the pairs node `ix`
+    /// was decomposed over, in the recursion's pair order; empty when the
+    /// store answered it.
+    pub(crate) fn pairs(&self, ix: u32) -> &[[u32; 3]] {
+        let (start, end) = self.taken[ix as usize];
+        &self.pairs[start as usize..end as usize]
+    }
+}
+
+/// Evaluates `twig` without a budget on a fresh cache of type `C` and
+/// arenas of its own, decomposing each node over all its removable pairs
+/// when `voting` and over the first one otherwise, and hands the finished
+/// DAG and the cache to `f`. The diagnostics that explain one estimate
+/// (intervals, EXPLAIN) read this DAG instead of recursing on their own.
+pub(crate) fn walk_dag<C: IdCache + Default, S: PatternStore + ?Sized, R>(
+    store: &S,
+    twig: &Twig,
+    voting: bool,
+    f: impl FnOnce(&DagWalk<'_>, &C) -> R,
+) -> R {
+    let mut cache = C::default();
+    let mut scratch = DagScratch::default();
+    let mut ev = DagEvaluator::new(
+        store,
+        &mut cache,
+        voting,
+        usize::MAX,
+        Meter::new(None),
+        &mut scratch,
+    );
+    let root = ev
+        .expand_twig(twig)
+        .expect("unbudgeted expansion cannot fault");
+    debug_assert_eq!(root, 0, "a fresh evaluator's first node is the root");
+    // Evaluation overwrites each pending node's pair range with its value,
+    // so keep the ranges first.
+    let taken: Vec<(u32, u32)> = ev
+        .scratch
+        .nodes
+        .iter()
+        .map(|node| match node.state {
+            State::Pending {
+                first_pair,
+                n_pairs,
+            } => (first_pair, first_pair + n_pairs),
+            State::Resolved(_) => (0, 0),
+        })
+        .collect();
+    ev.evaluate().expect("unbudgeted evaluation cannot fault");
+    let walk = DagWalk {
+        nodes: &scratch.nodes,
+        pairs: &scratch.pairs,
+        taken: &taken,
+    };
+    f(&walk, &cache)
+}
+
 /// Estimates `twig` on the DAG with no budget: infallible. Returns
 /// `(estimate, max expansion depth, dag statistics)`.
 pub(crate) fn estimate_dag<C: IdCache, S: PatternStore + ?Sized>(
@@ -677,7 +781,6 @@ mod tests {
 
     use super::*;
     use crate::estimator::{EstimateOptions, Estimator};
-    use crate::reference::reference_estimate;
     use crate::Summary;
 
     fn summary_of(patterns: &[(&str, u64)], k: usize) -> (Summary, LabelInterner) {
@@ -693,50 +796,6 @@ mod tests {
 
     fn q(it: &mut LabelInterner, s: &str) -> Twig {
         tl_twig::parse_twig(s, it).unwrap()
-    }
-
-    /// The DAG path must agree bit-for-bit with the recursive path on every
-    /// estimator, including the reported decomposition depth for queries
-    /// with no zero short-circuits.
-    #[test]
-    fn dag_matches_recursive_path_bitwise() {
-        let (s, mut it) = summary_of(
-            &[
-                ("a", 2),
-                ("b", 4),
-                ("c", 8),
-                ("d", 16),
-                ("a/b", 6),
-                ("b/c", 12),
-                ("c/d", 24),
-                ("a/c", 3),
-                ("a/d", 5),
-                ("b/d", 7),
-            ],
-            2,
-        );
-        let queries = [
-            "a/b/c/d",
-            "a[b][c]",
-            "a[b][c][d]",
-            "a[b[c]][d]",
-            "a/b[c][d]",
-        ];
-        let opts = EstimateOptions::default();
-        for qs in queries {
-            let t = q(&mut it, qs);
-            for e in Estimator::ALL {
-                let (rec_v, rec_d) = reference_estimate(&s, &t, e, &opts);
-                let mut cache = LocalIdCache::default();
-                let (dag_v, dag_d, stats) = estimate_dag(&s, &t, e, &opts, &mut cache);
-                assert_eq!(rec_v.to_bits(), dag_v.to_bits(), "{e} on {qs}");
-                assert!(
-                    dag_d >= rec_d,
-                    "DAG depth can only grow (eagerness): {e} on {qs}"
-                );
-                assert!(stats.refs >= stats.nodes);
-            }
-        }
     }
 
     /// Pinned DAG shape for a known query: the Markov chain `a/b/c/d` over
@@ -793,8 +852,8 @@ mod tests {
     }
 
     /// A root the summary answers directly (size ≤ k) must not build a DAG
-    /// even on a stone-cold cache — the cold-path economy behind the
-    /// decompose gate's cold-speedup floor.
+    /// even on a stone-cold cache — one of the cold-path economies whose
+    /// node counts the decompose gate pins.
     #[test]
     fn within_k_roots_skip_the_arena_when_cold() {
         let (s, mut it) = summary_of(&[("a", 2), ("b", 4), ("a/b", 6)], 2);
@@ -856,7 +915,8 @@ mod tests {
 
     /// Back-to-back evaluations on one thread reuse the pooled scratch and
     /// stay bit-identical to fresh-arena evaluation (the pool only recycles
-    /// capacity, never state).
+    /// capacity, never state). `tests/decomposition_twin.rs` diffs the same
+    /// queries against the literal recursion.
     #[test]
     fn pooled_scratch_is_reset_between_queries() {
         let (s, mut it) = summary_of(
@@ -883,11 +943,15 @@ mod tests {
             first_pass.push(v.to_bits());
         }
         assert_eq!(first_pass[0], first_pass[3], "same query, same bits");
-        // And against the recursive reference, still bit-identical.
+        // And against arenas that were never used before, still
+        // bit-identical.
         for (qs, bits) in queries.iter().zip(&first_pass) {
             let t = q(&mut it, qs);
-            let (rec_v, _) = reference_estimate(&s, &t, Estimator::Recursive, &opts);
-            assert_eq!(rec_v.to_bits(), *bits, "{qs}");
+            let mut cache = LocalIdCache::default();
+            let mut fresh = DagScratch::default();
+            let mut ev = DagEvaluator::new(&s, &mut cache, false, 1, Meter::new(None), &mut fresh);
+            let v = ev.eval_twig(&t).unwrap();
+            assert_eq!(v.to_bits(), *bits, "{qs}");
         }
     }
 }

@@ -21,8 +21,11 @@
 //!
 //! Both estimators run on one kernel, the iterative decomposition DAG of
 //! the crate's `dag` module; "recursing" above describes the mathematics,
-//! not the control flow. The plain entry points here run it without a
-//! budget; the budgeted ladder lives in [`crate::resilient`].
+//! not the control flow. The same DAG backs the interval
+//! ([`crate::interval`]) and the trace ([`mod@crate::explain`]) of an
+//! estimate. The plain entry points here run it without a budget; the
+//! budgeted ladder lives in [`crate::resilient`]. The literal recursion
+//! survives only as the tests' twin, `tl_oracle::twin`.
 
 use tl_fault::Budget;
 use tl_twig::Twig;

@@ -5,74 +5,120 @@
 //! conditional-independence formula was applied, and what each step
 //! contributed. Invaluable when an estimate looks off: the trace points at
 //! the exact overlap whose correlation broke the assumption.
+//!
+//! The trace walks the plain recursive estimator's decomposition DAG (the
+//! crate's `dag` module) from the root, printing a node each time a pair
+//! references it, so it runs on any [`PatternStore`]: the in-memory
+//! summary or the mmap catalog.
 
 use std::fmt::Write as _;
 
-use tl_twig::canonical::key_of;
-use tl_twig::ops::{decompose_pair, removable_pairs};
-use tl_twig::Twig;
+use tl_twig::{Twig, TwigId, TwigKey};
 use tl_xml::LabelInterner;
 
-use crate::estimator::{estimate, EstimateOptions, Estimator};
+use crate::catalog::PatternStore;
+use crate::dag::{walk_dag, DagWalk, IdCache, LocalIdCache};
 use crate::interval::estimate_interval;
-use crate::{Lookup, Summary};
+use crate::Lookup;
 
-/// Renders the recursive-decomposition trace of `twig` against `summary`.
+/// Renders the recursive-decomposition trace of `twig` against `store`.
 ///
 /// The trace follows the plain recursive estimator (first removable pair
 /// at each step); the header additionally reports the voting estimate and
-/// the decomposition-disagreement interval.
-pub fn explain(summary: &Summary, labels: &LabelInterner, twig: &Twig) -> String {
-    let mut out = String::new();
-    let opts = EstimateOptions::default();
-    let point = estimate(summary, twig, Estimator::Recursive, &opts);
-    let vote = estimate(summary, twig, Estimator::RecursiveVoting, &opts);
-    let iv = estimate_interval(summary, twig);
-    let _ = writeln!(
-        out,
-        "query: {}\nrecursive = {:.3}   voting = {:.3}   spread = [{:.3}, {}]",
-        twig.to_query_string(labels),
-        point,
-        vote,
-        iv.low,
-        if iv.high.is_finite() {
-            format!("{:.3}", iv.high)
-        } else {
-            "inf".to_owned()
-        },
-    );
-    render(summary, labels, twig, 0, &mut out);
-    out
+/// the decomposition-disagreement interval. The root prints as given;
+/// each operand prints as its canonical form decodes, which may list
+/// siblings in another order than the query did.
+pub fn explain<S: PatternStore + ?Sized>(store: &S, labels: &LabelInterner, twig: &Twig) -> String {
+    let iv = estimate_interval(store, twig);
+    walk_dag(store, twig, false, |dag, cache: &TraceCache| {
+        let mut out = String::new();
+        let query = twig.to_query_string(labels);
+        let _ = writeln!(
+            out,
+            "query: {query}\nrecursive = {:.3}   voting = {:.3}   spread = [{:.3}, {}]",
+            dag.value(0),
+            iv.estimate,
+            iv.low,
+            if iv.high.is_finite() {
+                format!("{:.3}", iv.high)
+            } else {
+                "inf".to_owned()
+            },
+        );
+        let trace = Trace {
+            store,
+            labels,
+            dag,
+            cache,
+        };
+        trace.render(0, &query, 0, &mut out);
+        out
+    })
 }
 
-fn render(summary: &Summary, labels: &LabelInterner, twig: &Twig, depth: usize, out: &mut String) {
-    let indent = "  ".repeat(depth);
-    let query = twig.to_query_string(labels);
-    let key = key_of(twig);
-    match summary.lookup(&key) {
-        Lookup::Exact(c) => {
-            let _ = writeln!(out, "{indent}{query} = {c}  (stored, exact)");
+/// The walk's id cache: a [`LocalIdCache`] that also keeps each id's
+/// canonical bytes, so every node of the DAG can be printed.
+#[derive(Default)]
+struct TraceCache {
+    ids: LocalIdCache,
+    keys: Vec<TwigKey>,
+}
+
+impl IdCache for TraceCache {
+    fn intern(&mut self, bytes: &[u8]) -> TwigId {
+        let id = self.ids.intern(bytes);
+        if id as usize == self.keys.len() {
+            self.keys.push(TwigKey::from_raw(bytes.into()));
         }
-        Lookup::Derivable | Lookup::TooLarge if twig.len() <= 2 => {
-            let _ = writeln!(out, "{indent}{query} = 0  (absent from complete level)");
-        }
-        source @ (Lookup::Derivable | Lookup::TooLarge) => {
-            let why = match source {
-                Lookup::TooLarge => "larger than the summary order",
-                _ => "pruned as derivable",
-            };
-            let opts = EstimateOptions::default();
-            let value = estimate(summary, twig, Estimator::Recursive, &opts);
-            let canonical = key.decode();
-            let (u, v) = removable_pairs(&canonical)[0];
-            let d = decompose_pair(&canonical, u, v);
-            let _ = writeln!(
-                out,
-                "{indent}{query} ~= {value:.3}  ({why}; s(T1)*s(T2)/s(T12) with)"
-            );
-            render(summary, labels, &d.t1, depth + 1, out);
-            render(summary, labels, &d.t2, depth + 1, out);
-            render(summary, labels, &d.t12, depth + 1, out);
+        id
+    }
+
+    fn lookup(&mut self, id: TwigId) -> Option<f64> {
+        self.ids.lookup(id)
+    }
+
+    fn store(&mut self, id: TwigId, value: f64) {
+        self.ids.store(id, value);
+    }
+}
+
+/// What rendering one node reads: the store (for the node's reason), the
+/// label table, and the walked DAG with its keys.
+struct Trace<'a, S: ?Sized> {
+    store: &'a S,
+    labels: &'a LabelInterner,
+    dag: &'a DagWalk<'a>,
+    cache: &'a TraceCache,
+}
+
+impl<S: PatternStore + ?Sized> Trace<'_, S> {
+    /// Prints node `ix` as `query` at `depth`, then its pair's operands.
+    fn render(&self, ix: u32, query: &str, depth: usize, out: &mut String) {
+        let indent = "  ".repeat(depth);
+        let key = &self.cache.keys[self.dag.id(ix) as usize];
+        match self.store.lookup_bytes(key.as_bytes()) {
+            Lookup::Exact(c) => {
+                let _ = writeln!(out, "{indent}{query} = {c}  (stored, exact)");
+            }
+            Lookup::Derivable | Lookup::TooLarge if self.dag.size(ix) <= 2 => {
+                let _ = writeln!(out, "{indent}{query} = 0  (absent from complete level)");
+            }
+            source @ (Lookup::Derivable | Lookup::TooLarge) => {
+                let why = match source {
+                    Lookup::TooLarge => "larger than the summary order",
+                    _ => "pruned as derivable",
+                };
+                let _ = writeln!(
+                    out,
+                    "{indent}{query} ~= {:.3}  ({why}; s(T1)*s(T2)/s(T12) with)",
+                    self.dag.value(ix)
+                );
+                for &operand in &self.dag.pairs(ix)[0] {
+                    let key = &self.cache.keys[self.dag.id(operand) as usize];
+                    let query = key.decode().to_query_string(self.labels);
+                    self.render(operand, &query, depth + 1, out);
+                }
+            }
         }
     }
 }

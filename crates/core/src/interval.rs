@@ -2,31 +2,34 @@
 //!
 //! The paper's future-work list (§6) asks for "an error bound associated
 //! with the estimation". This module provides the natural bound available
-//! *within* the decomposition framework: at every recursion node the
+//! *within* the decomposition framework: at every decomposition node the
 //! voting candidates (one per removable pair) generally disagree, and the
-//! spread of their values — propagated through the recursion with interval
-//! arithmetic — measures how far the conditional-independence assumption
-//! is being stretched for this particular query.
+//! spread of their values — propagated bottom-up with interval arithmetic
+//! — measures how far the conditional-independence assumption is being
+//! stretched for this particular query.
+//!
+//! The interval is a second bottom-up pass over the voting estimator's own
+//! decomposition DAG (the crate's `dag` module, every removable pair at
+//! every node), so it runs on any [`PatternStore`]: the in-memory summary
+//! or the mmap catalog.
 //!
 //! The returned interval is a *heuristic diagnostic*, not a probabilistic
 //! guarantee: a width of zero means every decomposition order agrees (on
 //! perfectly regular data the estimate is then typically exact), while a
 //! wide interval flags queries whose estimate should not be trusted. The
-//! midpoint reproduces the voting estimator exactly.
+//! midpoint reproduces the voting estimator bit for bit.
 
-use tl_twig::canonical::key_of;
-use tl_twig::ops::{decompose_pair, removable_pairs};
-use tl_twig::{Twig, TwigKey};
-use tl_xml::FxHashMap;
+use tl_twig::Twig;
 
-use crate::{Lookup, Summary};
+use crate::catalog::PatternStore;
+use crate::dag::{walk_dag, LocalIdCache};
 
 /// A point estimate with a decomposition-disagreement interval around it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IntervalEstimate {
     /// Smallest value any decomposition order produces.
     pub low: f64,
-    /// The voting estimate (average over pairs at each recursion node).
+    /// The voting estimate (average over pairs at each decomposition node).
     pub estimate: f64,
     /// Largest value any decomposition order produces; `f64::INFINITY`
     /// when some order divides by a vanishing overlap estimate.
@@ -56,51 +59,37 @@ impl IntervalEstimate {
     }
 }
 
-/// Computes the interval estimate of `twig` against `summary`.
-pub fn estimate_interval(summary: &Summary, twig: &Twig) -> IntervalEstimate {
-    let mut memo: FxHashMap<TwigKey, IntervalEstimate> = FxHashMap::default();
-    interval_key(summary, &key_of(twig), &mut memo)
-}
-
-fn interval_key(
-    summary: &Summary,
-    key: &TwigKey,
-    memo: &mut FxHashMap<TwigKey, IntervalEstimate>,
-) -> IntervalEstimate {
-    if let Some(&v) = memo.get(key) {
-        return v;
-    }
-    let value = match summary.lookup(key) {
-        Lookup::Exact(c) => IntervalEstimate::point(c as f64),
-        Lookup::Derivable | Lookup::TooLarge => {
-            let twig = key.decode();
-            if twig.len() <= 2 {
-                IntervalEstimate::point(0.0)
-            } else {
-                decompose_interval(summary, &twig, memo)
-            }
+/// Computes the interval estimate of `twig` against `store`.
+pub fn estimate_interval<S: PatternStore + ?Sized>(store: &S, twig: &Twig) -> IntervalEstimate {
+    walk_dag(store, twig, true, |dag, _: &LocalIdCache| {
+        // Every operand is strictly smaller than the twig it decomposes, so
+        // smallest first is bottom-up.
+        let mut order: Vec<u32> = (0..dag.len() as u32).collect();
+        order.sort_by_key(|&ix| dag.size(ix));
+        let mut intervals = vec![IntervalEstimate::point(0.0); dag.len()];
+        for ix in order {
+            intervals[ix as usize] = match dag.pairs(ix) {
+                [] => IntervalEstimate::point(dag.value(ix)),
+                pairs => vote(pairs.iter().map(|&[a, b, c]| {
+                    let at = |ix: u32| intervals[ix as usize];
+                    (at(a), at(b), at(c))
+                })),
+            };
         }
-    };
-    memo.insert(key.clone(), value);
-    value
+        intervals[0]
+    })
 }
 
-fn decompose_interval(
-    summary: &Summary,
-    twig: &Twig,
-    memo: &mut FxHashMap<TwigKey, IntervalEstimate>,
+/// One decomposition node's interval from its pairs' operand intervals
+/// `(T − v, T − u, T − u − v)`.
+fn vote(
+    pairs: impl Iterator<Item = (IntervalEstimate, IntervalEstimate, IntervalEstimate)>,
 ) -> IntervalEstimate {
-    let pairs = removable_pairs(twig);
-    debug_assert!(!pairs.is_empty());
     let mut low = f64::INFINITY;
     let mut high: f64 = 0.0;
     let mut mid_sum = 0.0;
     let mut n = 0usize;
-    for &(u, v) in &pairs {
-        let d = decompose_pair(twig, u, v);
-        let i1 = interval_key(summary, &key_of(&d.t1), memo);
-        let i2 = interval_key(summary, &key_of(&d.t2), memo);
-        let i12 = interval_key(summary, &key_of(&d.t12), memo);
+    for (i1, i2, i12) in pairs {
         // Point part (matches the voting estimator's arithmetic exactly).
         let mid = if i1.estimate > 0.0 && i2.estimate > 0.0 && i12.estimate > 0.0 {
             i1.estimate * i2.estimate / i12.estimate
@@ -141,6 +130,9 @@ fn decompose_interval(
 
 #[cfg(test)]
 mod tests {
+    use rand::SeedableRng;
+    use tl_datagen::{random_document, RandomTreeConfig};
+    use tl_workload::sample::random_occurred_twig;
     use tl_xml::{parse_document, ParseOptions};
 
     use crate::estimator::{estimate, EstimateOptions, Estimator};
@@ -164,6 +156,9 @@ mod tests {
         assert_eq!(iv.relative_width(), 0.0);
     }
 
+    /// The midpoint is the voting estimate, bit for bit: on a hand-made
+    /// irregular document, and on seeded random documents with and without
+    /// pruned levels.
     #[test]
     fn midpoint_equals_voting_estimate() {
         let _fp = tl_fault::failpoints::shared();
@@ -180,25 +175,64 @@ mod tests {
         }
         xml.push_str("</r>");
         let (_, lat) = lattice_of(&xml, 2);
-        for q in ["a[b][c][d]", "r/a[b][c]", "a[b][c]"] {
-            let twig = lat.parse_query(q).unwrap();
-            let iv = estimate_interval(lat.summary(), &twig);
+        let twigs: Vec<Twig> = ["a[b][c][d]", "r/a[b][c]", "a[b][c]"]
+            .iter()
+            .map(|q| lat.parse_query(q).unwrap())
+            .collect();
+        assert_midpoints_vote(&lat, &twigs, "hand-made");
+
+        let mut wide = 0usize;
+        for seed in 1..=5u64 {
+            let doc = random_document(&RandomTreeConfig {
+                seed,
+                nodes: 400,
+                labels: 6,
+                max_children: 5,
+            });
+            let mut lat = TreeLattice::build(&doc, &BuildConfig::with_k(3));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let twigs: Vec<Twig> = (0..40)
+                .filter_map(|i| random_occurred_twig(&doc, &mut rng, 4 + i % 5))
+                .collect();
+            assert!(twigs.len() >= 30, "seed {seed}: workload came up short");
+            for pruned in [false, true] {
+                if pruned {
+                    lat.prune(0.0);
+                }
+                wide +=
+                    assert_midpoints_vote(&lat, &twigs, &format!("seed {seed}, pruned {pruned}"));
+            }
+        }
+        assert!(wide >= 200, "only {wide} cases with a nonzero width");
+    }
+
+    /// Asserts each twig's interval midpoint equals its voting estimate bit
+    /// for bit and lies within the interval; returns how many intervals
+    /// had a nonzero width.
+    fn assert_midpoints_vote(lat: &TreeLattice, twigs: &[Twig], ctx: &str) -> usize {
+        let mut wide = 0;
+        for twig in twigs {
+            let iv = estimate_interval(lat.summary(), twig);
             let vote = estimate(
                 lat.summary(),
-                &twig,
+                twig,
                 Estimator::RecursiveVoting,
                 &EstimateOptions::default(),
             );
-            assert!(
-                (iv.estimate - vote).abs() < 1e-9,
-                "{q}: interval mid {} vs voting {vote}",
+            let q = twig.to_query_string(lat.labels());
+            assert_eq!(
+                iv.estimate.to_bits(),
+                vote.to_bits(),
+                "{ctx}, {q}: interval mid {} vs voting {vote}",
                 iv.estimate
             );
             assert!(
-                iv.low <= iv.estimate + 1e-12 && iv.estimate <= iv.high + 1e-12,
-                "{q}"
+                iv.low <= iv.estimate && iv.estimate <= iv.high,
+                "{ctx}, {q}"
             );
+            wide += usize::from(iv.high > iv.low);
         }
+        wide
     }
 
     #[test]

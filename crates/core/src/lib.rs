@@ -42,9 +42,9 @@
 //! * [`online`] — workload-aware on-line tuning (the paper's §6 future
 //!   work): feed executed queries' true counts back into the summary;
 //! * [`interval`] — decomposition-disagreement error bars (the §6 "error
-//!   bound" direction);
+//!   bound" direction), on any pattern store;
 //! * [`mod@explain`] — human-readable decomposition traces (EXPLAIN for the
-//!   estimator);
+//!   estimator), on any pattern store;
 //! * [`serialize`] — versioned binary persistence of summaries;
 //! * [`catalog`] — swappable pattern-store backends: in-memory, and a
 //!   zero-copy mmap reader serving lookups from frame bytes;
@@ -58,7 +58,6 @@ pub mod explain;
 pub mod interval;
 pub mod online;
 pub mod pruning;
-pub mod reference;
 pub mod resilient;
 pub mod serialize;
 pub mod trie;
@@ -75,7 +74,6 @@ pub use explain::explain;
 pub use interval::{estimate_interval, IntervalEstimate};
 pub use online::{TunedLattice, TunerStats};
 pub use pruning::{prune_derivable, PruneReport};
-pub use reference::ReferenceEngine;
 pub use resilient::{estimate_resilient_catalog, markov_estimate, ResilientEstimate};
 pub use serialize::ReadError;
 // The pattern table is tl-miner's: mining produces the one `Summary` a

@@ -16,7 +16,9 @@
 //! * larger stored patterns improve the decomposition of their
 //!   super-queries (the recursive estimator bottoms out earlier);
 //! * observed zero counts (negative queries) become *stored* zeros, so the
-//!   rare false-positive negatives of §5.1 are corrected by feedback.
+//!   rare false-positive negatives of §5.1 are corrected by feedback;
+//! * an observation the summary already answers exactly stores nothing:
+//!   a mined count, or the zero a complete level gives a pattern it lacks.
 //!
 //! Eviction is cold-first, then largest-first: mined base patterns (the
 //! k-lattice itself) are never evicted, matching the paper's framing of
@@ -32,8 +34,8 @@ use tl_twig::canonical::key_of;
 use tl_twig::{Twig, TwigKey};
 use tl_xml::FxHashMap;
 
-use crate::estimator::{estimate, EstimateOptions, Estimator};
-use crate::TreeLattice;
+use crate::estimator::Estimator;
+use crate::{Lookup, TreeLattice};
 
 /// Statistics of the tuning loop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -139,8 +141,12 @@ impl TunedLattice {
         self.stats.observed += 1;
         self.clock += 1;
         let key = key_of(twig);
-        // Already exact in the mined summary? Nothing to store.
-        if self.lattice.summary().stored(&key) == Some(true_count) && !self.heat.contains_key(&key)
+        // Already answered exactly by the mined summary (a stored count, or
+        // the zero a complete level gives a pattern it lacks)? Nothing to
+        // store: an online copy could only be evicted later, and an
+        // eviction marks its level pruned.
+        if !self.heat.contains_key(&key)
+            && self.lattice.summary().lookup(&key) == Lookup::Exact(true_count)
         {
             return;
         }
@@ -189,27 +195,11 @@ impl TunedLattice {
     }
 }
 
-/// Re-derivation error of a stored pattern if it were removed — exposed
-/// for tooling that wants smarter-than-cold eviction (evict the most
-/// derivable first).
-pub fn derivation_error(lattice: &TreeLattice, key: &TwigKey) -> Option<f64> {
-    let stored = lattice.summary().stored(key)?;
-    let mut reduced = lattice.summary().clone();
-    reduced.remove(key);
-    let est = estimate(
-        &reduced,
-        &key.decode(),
-        Estimator::Recursive,
-        &EstimateOptions::default(),
-    );
-    Some((est - stored as f64).abs() / (stored as f64).max(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use tl_xml::{parse_document, ParseOptions};
 
-    use crate::BuildConfig;
+    use crate::{BuildConfig, EstimateOptions};
 
     use super::*;
 
@@ -311,6 +301,15 @@ mod tests {
         tuned.observe(&q, truth);
         assert_eq!(tuned.stats().inserted, 0);
         assert_eq!(tuned.online_bytes(), 0);
+        // A pattern of size <= k that never occurs: its complete level
+        // already answers the observed zero exactly.
+        let absent = tuned.lattice().parse_query("b/a").unwrap();
+        assert_eq!(tl_twig::count_matches(&doc, &absent), 0);
+        let before = tuned.lattice().to_bytes();
+        tuned.observe(&absent, 0);
+        assert_eq!(tuned.stats().inserted, 0);
+        assert_eq!(tuned.online_bytes(), 0);
+        assert_eq!(tuned.lattice().to_bytes(), before);
     }
 
     #[test]
@@ -345,31 +344,5 @@ mod tests {
         let second = tuned.estimate(&q, Estimator::Recursive);
         tuned.observe(&q, truth);
         assert_eq!(second, truth as f64);
-    }
-
-    #[test]
-    fn derivation_error_identifies_derivable_patterns() {
-        let _fp = tl_fault::failpoints::shared();
-        // Perfectly independent data: the joint pattern is fully derivable.
-        let mut s = String::from("<r>");
-        for _ in 0..6 {
-            s.push_str("<a><b/><c/></a>");
-        }
-        s.push_str("</r>");
-        let doc = parse_document(s.as_bytes(), ParseOptions::default()).unwrap();
-        let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
-        let q = lattice.parse_query("a[b][c]").unwrap();
-        let key = key_of(&q);
-        let err = derivation_error(&lattice, &key).unwrap();
-        assert!(
-            err < 1e-9,
-            "independent joint pattern should be derivable: {err}"
-        );
-        let missing = key_of(&lattice.parse_query("r/a/b").unwrap());
-        let mut reduced = lattice.summary().clone();
-        reduced.remove(&missing);
-        // derivation_error on an absent key is None.
-        let other = TreeLattice::from_parts(lattice.labels().clone(), reduced);
-        assert!(derivation_error(&other, &missing).is_none());
     }
 }

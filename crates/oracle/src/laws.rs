@@ -13,12 +13,14 @@
 //! | [`exactness_below_k`] | §3.1: estimates are exact whenever `|Q| ≤ k` |
 //! | [`voting_cap_one_is_plain`] | §3.2: voting with one vote *is* the plain recursive scheme |
 //! | [`engine_matches_uncached`] | engine contract: the shared cache never changes a bit |
+//! | [`exact_feedback_is_a_noop`] | §5.1/§6: feedback the summary already answers exactly leaves it as mined |
 
 use tl_twig::ops::{connected_node_sets, fixed_cover_sets, CoverStrategy};
 use tl_twig::Twig;
 use tl_xml::Document;
 use treelattice::{
     BuildConfig, EngineConfig, EstimateOptions, EstimationEngine, Estimator, TreeLattice,
+    TunedLattice,
 };
 
 use crate::corpus::{describe_case, product_document};
@@ -239,6 +241,32 @@ pub fn engine_matches_uncached(lattice: &TreeLattice, twigs: &[Twig]) -> Result<
                     ));
                 }
             }
+        }
+    }
+    Ok(())
+}
+
+/// §5.1 and §6: complete levels answer every pattern of size `<= k`
+/// exactly, occurring or not, so feeding back such a pattern's true count
+/// must leave the summary as mined. Run under an online budget of 0
+/// bytes, where anything stored is evicted at once and its eviction marks
+/// the level pruned.
+pub fn exact_feedback_is_a_noop(
+    doc: &Document,
+    lattice: &TreeLattice,
+    twigs: &[Twig],
+) -> Result<(), String> {
+    let oracle = Oracle::new(doc);
+    let fresh = lattice.to_bytes();
+    let mut tuned = TunedLattice::new(lattice.clone(), 0);
+    for twig in twigs.iter().filter(|t| t.len() <= lattice.k()) {
+        let truth = oracle.count(twig);
+        tuned.observe(twig, truth);
+        if tuned.lattice().to_bytes() != fresh {
+            return Err(format!(
+                "observing the true count {truth} changed the mined summary\n{}",
+                describe_case(doc, twig)
+            ));
         }
     }
     Ok(())

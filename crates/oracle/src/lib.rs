@@ -10,7 +10,10 @@
 //!   enumerator, for 3-way differential testing;
 //! * [`laws`] — the paper's Lemmas as executable metamorphic laws;
 //! * [`corpus`] — seeded random (document, twig) corpora, the Lemma 1
-//!   product-document construction, and a greedy counterexample shrinker.
+//!   product-document construction, and a greedy counterexample shrinker;
+//! * [`twin`] — the decomposition estimators as a literal recursion over
+//!   the paper's Figures 4 and 5: the independent twin the production
+//!   DAG is diffed against.
 //!
 //! Everything here is test infrastructure: deliberately naive, heavily
 //! checked, and not on any production path.
@@ -18,6 +21,7 @@
 pub mod corpus;
 pub mod enumerate;
 pub mod laws;
+pub mod twin;
 
 pub use corpus::{
     describe_case, generate, product_document, seeds_from_env, shrink_case, Corpus, CorpusConfig,

@@ -13,11 +13,12 @@
 //!   `|T| − k + 1` overlapping k-subtrees, each sharing a (k-1)-subtree
 //!   with the part already covered.
 //!
-//! The pair operands here are built as [`Twig`]s, for the reference,
-//! explain, interval and oracle code. The production evaluator never
-//! builds them: it derives each operand's canonical bytes from its
-//! parent's with [`crate::canonical::RemovalView`], whose property test
-//! checks it against [`decompose_pair`].
+//! The pair operands here are built as [`Twig`]s, for the literal
+//! recursion that `tl_oracle::twin` keeps for the tests and as the
+//! reference the [`crate::canonical::RemovalView`] property test checks
+//! against. No `treelattice` code builds them: its one decomposition
+//! walker, the DAG evaluator, derives each operand's canonical bytes from
+//! its parent's with the view.
 
 use crate::twig::{Twig, TwigNodeId};
 

@@ -7,14 +7,15 @@
 //! * summary mutations (`update_after_edit`, `prune`) invalidate the shared
 //!   cache through the generation counter;
 //! * one engine serves concurrent batches from multiple OS threads without
-//!   data races or cross-talk.
+//!   data races or cross-talk;
+//! * under interleaved estimates and mutations, every engine answer also
+//!   equals the literal recursion of `tl_oracle::twin`.
 
 use tl_datagen::{Dataset, GenConfig};
 use tl_workload::{negative_workload, positive_workload};
 use tl_xml::{append_subtree, parse_document, Document, ParseOptions};
 use treelattice::{
-    BuildConfig, EngineConfig, EstimateOptions, EstimationEngine, Estimator, ReferenceEngine,
-    TreeLattice,
+    BuildConfig, EngineConfig, EstimateOptions, EstimationEngine, Estimator, TreeLattice,
 };
 
 fn dataset() -> Document {
@@ -272,7 +273,6 @@ mod cache_generation_properties {
 
     fn assert_engine_transparent(
         engine: &EstimationEngine,
-        reference: &ReferenceEngine,
         lattice: &TreeLattice,
         twigs: &[tl_twig::Twig],
         step: usize,
@@ -293,14 +293,13 @@ mod cache_generation_properties {
                         pass
                     );
                 }
-                // The interned-id engine must also agree bit-for-bit with
-                // the byte-keyed reference architecture under the same
-                // interleaving of estimates and mutations.
-                let byte_keyed = reference.estimate(lattice, twig, est, &opts).to_bits();
+                // The DAG must also agree bit-for-bit with the independent
+                // recursion on the summary as it stands after this step.
+                let recursion = tl_oracle::twin::estimate(lattice.summary(), twig, est, &opts);
                 prop_assert_eq!(
-                    byte_keyed,
+                    recursion.value.to_bits(),
                     fresh,
-                    "step {}, {}, twig {}: reference engine diverged",
+                    "step {}, {}, twig {}: the recursion diverged",
                     step,
                     est,
                     i
@@ -324,13 +323,10 @@ mod cache_generation_properties {
                 twig_specs.iter().map(|s| build_twig(s, &doc)).collect();
             let mut lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
             // One engine for the whole run: its cache must survive every
-            // mutation only through generation-tagged invalidation. The
-            // byte-keyed reference engine rides along as the differential
-            // baseline for the interned-id architecture.
+            // mutation only through generation-tagged invalidation.
             let engine = EstimationEngine::new(EngineConfig { shards: 4, threads: 1 });
-            let reference = ReferenceEngine::new();
 
-            assert_engine_transparent(&engine, &reference, &lattice, &twigs, 0)?;
+            assert_engine_transparent(&engine, &lattice, &twigs, 0)?;
             // `update_after_edit` requires an unpruned summary (the API
             // contract is "prune after updates"), so edits stop once a
             // prune has happened.
@@ -358,7 +354,7 @@ mod cache_generation_properties {
                     }
                     Op::Append(..) | Op::Remove(_) | Op::Check => {}
                 }
-                assert_engine_transparent(&engine, &reference, &lattice, &twigs, step + 1)?;
+                assert_engine_transparent(&engine, &lattice, &twigs, step + 1)?;
             }
         }
     }

@@ -70,3 +70,28 @@ fn exactness_voting_and_engine_laws_on_random_corpora() {
         }
     }
 }
+
+#[test]
+fn exact_feedback_leaves_the_mined_summary_as_built() {
+    for &seed in &seeds_from_env("TL_ORACLE_SEED", DEFAULT_SEEDS) {
+        // Sizes up to k, a third of them perturbed so that many never occur.
+        let corpus = generate(&CorpusConfig {
+            seed: seed.wrapping_add(0x0b5e),
+            docs: 2,
+            twigs_per_doc: 30,
+            twig_sizes: (1, 3),
+            ..CorpusConfig::default()
+        });
+        for (i, doc) in corpus.docs.iter().enumerate() {
+            let twigs: Vec<_> = corpus
+                .cases
+                .iter()
+                .filter(|c| c.doc == i)
+                .map(|c| c.twig.clone())
+                .collect();
+            let lattice = TreeLattice::build(doc, &BuildConfig::with_k(3));
+            laws::exact_feedback_is_a_noop(doc, &lattice, &twigs)
+                .unwrap_or_else(|e| panic!("seed {seed} doc {i}: {e}"));
+        }
+    }
+}
