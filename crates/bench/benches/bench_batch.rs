@@ -57,6 +57,7 @@ fn bench_batch(c: &mut Criterion) {
             let engine = EstimationEngine::new(EngineConfig {
                 shards: 16,
                 threads: 4,
+                ..EngineConfig::default()
             });
             std::hint::black_box(engine.estimate_batch(&lattice, &twigs, est, &opts))
         })
@@ -66,6 +67,7 @@ fn bench_batch(c: &mut Criterion) {
         let engine = EstimationEngine::new(EngineConfig {
             shards: 16,
             threads,
+            ..EngineConfig::default()
         });
         // Warm the shared cache once; the measured loop is the warm path.
         engine.estimate_batch(&lattice, &twigs, est, &opts);

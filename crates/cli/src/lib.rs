@@ -725,7 +725,7 @@ fn cmd_summary_recover(mut args: Args<'_>, out: &mut String) -> Result<(), CliEr
     };
     let recovered = treelattice::recover(
         std::path::Path::new(&wal_dir),
-        base_lattice.as_ref(),
+        base_lattice,
         &opts,
         &tl_obs::NOOP,
     )?;
@@ -750,7 +750,7 @@ fn cmd_summary_snapshot(mut args: Args<'_>, out: &mut String) -> Result<(), CliE
     };
     let (mut durable, report) = treelattice::DurableLattice::open(
         std::path::Path::new(&wal_dir),
-        base_lattice.as_ref(),
+        base_lattice,
         &opts,
         &tl_obs::NOOP,
     )?;

@@ -11,8 +11,8 @@
 //! `3p` operands of which typically far fewer are distinct. This module
 //! makes the sharing explicit:
 //!
-//! 1. every sub-twig is interned to a dense [`TwigId`] once (the
-//!    [`IdCache`]'s interner), after which all bookkeeping is `u32`s;
+//! 1. every sub-twig is interned to a [`TwigId`] once per reference (the
+//!    [`IdCache`]'s interner), after which all bookkeeping is on ids;
 //! 2. a query is expanded — iteratively, with an explicit stack — into a
 //!    *decomposition DAG* held in flat arenas (`nodes`, `pairs`): one node
 //!    per distinct sub-twig, one `[t1, t2, t12]` id triple per taken
@@ -55,17 +55,22 @@
 //! parent's, copying untouched subtrees and re-emitting only the ancestors
 //! of the removed nodes. `T − x` is derived once per removable node `x`
 //! and shared by every pair holding it, `T − u − v` once per taken pair;
-//! no operand is built as a [`Twig`] or encoded from one.
+//! no operand is built as a [`Twig`] or encoded from one. Only a node's
+//! first reference reaches the [`IdCache`]'s interner: a per-query memo
+//! over the nodes' bytes answers the repeats, which a voting query makes
+//! about ten of per node.
 //!
 //! The evaluator is generic over [`PatternStore`], so the same DAG runs
 //! against the in-memory summary or the zero-copy mmap catalog (see
 //! [`crate::catalog`]).
 
+use std::hash::Hasher;
+
 use tl_fault::{Budget, Fault};
 use tl_twig::canonical::{key_of, KeyEncoder, RemovalView, NODE_BYTES};
 use tl_twig::ops::{fixed_cover_with, CoverStrategy};
 use tl_twig::{Twig, TwigId, TwigInterner};
-use tl_xml::FxHashMap;
+use tl_xml::{FxHashMap, FxHasher};
 
 use crate::catalog::PatternStore;
 use crate::estimator::{EstimateOptions, Estimator};
@@ -85,13 +90,22 @@ pub(crate) trait IdCache {
     fn store(&mut self, id: TwigId, value: f64);
 }
 
-/// Per-query id cache: a private interner plus a dense value table. Ids are
-/// dense and first-sighting ordered, so the values live in a flat vector —
-/// no hashing after the intern.
+/// Per-query id cache: a private interner that never evicts plus a dense
+/// value table. Slots are dense and first-sighting ordered, so the values
+/// live in a flat vector — no hashing after the intern.
 #[derive(Debug, Default)]
 pub(crate) struct LocalIdCache {
     interner: TwigInterner,
     values: Vec<Option<f64>>,
+}
+
+impl LocalIdCache {
+    /// The canonical bytes of an id this cache interned.
+    pub(crate) fn key(&self, id: TwigId) -> &[u8] {
+        self.interner
+            .key(id)
+            .expect("a per-query cache never evicts")
+    }
 }
 
 impl IdCache for LocalIdCache {
@@ -100,11 +114,11 @@ impl IdCache for LocalIdCache {
     }
 
     fn lookup(&mut self, id: TwigId) -> Option<f64> {
-        self.values.get(id as usize).copied().flatten()
+        self.values.get(id.slot() as usize).copied().flatten()
     }
 
     fn store(&mut self, id: TwigId, value: f64) {
-        let ix = id as usize;
+        let ix = id.slot() as usize;
         if self.values.len() <= ix {
             self.values.resize(ix + 1, None);
         }
@@ -233,8 +247,8 @@ impl Operands {
 }
 
 /// The pooled arena storage behind a [`DagEvaluator`]: node and pair
-/// arenas, the dedup index, worklists, the pending nodes' canonical bytes,
-/// and the encode and operand scratch. One instance lives per thread (see
+/// arenas, the dedup index and memo, worklists, every node's canonical
+/// bytes, and the encode and operand scratch. One instance lives per thread (see
 /// [`with_dag_scratch`]) and is reset — clearing lengths, keeping
 /// capacities — at the start of every evaluation, so cold queries stop
 /// paying the arena's allocation ramp-up after the thread's first query.
@@ -244,13 +258,21 @@ pub(crate) struct DagScratch {
     nodes: Vec<DagNode>,
     /// Pair arena: `[t1, t2, t12]` node indices per taken removable pair.
     pairs: Vec<[u32; 3]>,
-    /// Structural dedup: interned id → node index.
+    /// Structural dedup: interned id → node index. Keyed by the whole id,
+    /// incarnation included, so a slot the engine evicts and reuses while
+    /// this query runs becomes a new node, never the old one.
     index: FxHashMap<TwigId, u32>,
+    /// Repeat references skip the cache's interner: canonical-bytes hash
+    /// → node index, checked against the node's bytes in `keys`. A hash
+    /// two keys share keeps the first; the other goes through `index`.
+    memo: FxHashMap<u64, u32>,
+    /// Each node's canonical bytes, as a range into `keys`.
+    node_keys: Vec<(u32, u32)>,
     /// Node indices awaiting evaluation this round.
     pending: Vec<u32>,
     /// Expansion worklist, drained depth-first.
     build_stack: Vec<Expansion>,
-    /// Canonical bytes of every node queued for expansion this evaluation.
+    /// Canonical bytes of every node of this evaluation.
     keys: Vec<u8>,
     encoder: KeyEncoder,
     /// The canonical bytes of the root being estimated: the root probe's
@@ -268,6 +290,8 @@ impl DagScratch {
         self.nodes.clear();
         self.pairs.clear();
         self.index.clear();
+        self.memo.clear();
+        self.node_keys.clear();
         self.pending.clear();
         self.build_stack.clear();
         self.keys.clear();
@@ -280,6 +304,12 @@ thread_local! {
     /// re-enters the estimator), so a single borrow is always available.
     static DAG_SCRATCH: std::cell::RefCell<DagScratch> =
         std::cell::RefCell::new(DagScratch::default());
+}
+
+fn hash_of(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Runs `f` with the thread's pooled [`DagScratch`].
@@ -362,7 +392,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     fn eval_probed_root(&mut self, id: TwigId) -> Result<f64, Fault> {
         self.refs += 1;
         let bytes = std::mem::take(&mut self.scratch.root_key);
-        let root = self.admit(&bytes, 1, id, None);
+        let root = self.admit(&bytes, hash_of(&bytes), 1, id, None);
         self.scratch.root_key = bytes;
         let root = root?;
         self.build()?;
@@ -376,12 +406,19 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     /// expansion depth the node gets *if* it needs decomposing.
     fn ensure(&mut self, bytes: &[u8], depth: usize) -> Result<u32, Fault> {
         self.refs += 1;
+        let hash = hash_of(bytes);
+        if let Some(&ix) = self.scratch.memo.get(&hash) {
+            let (start, end) = self.scratch.node_keys[ix as usize];
+            if self.scratch.keys[start as usize..end as usize] == *bytes {
+                return Ok(ix);
+            }
+        }
         let id = self.cache.intern(bytes);
         if let Some(&ix) = self.scratch.index.get(&id) {
             return Ok(ix);
         }
         let cached = self.cache.lookup(id);
-        self.admit(bytes, depth, id, cached)
+        self.admit(bytes, hash, depth, id, cached)
     }
 
     /// Materializes the node for a first-referenced id, given the result of
@@ -389,12 +426,16 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     fn admit(
         &mut self,
         bytes: &[u8],
+        hash: u64,
         depth: usize,
         id: TwigId,
         cached: Option<f64>,
     ) -> Result<u32, Fault> {
         let ix = u32::try_from(self.scratch.nodes.len()).expect("DAG node arena overflow");
         let size = (bytes.len() / NODE_BYTES) as u32;
+        let start = self.scratch.keys.len() as u32;
+        self.scratch.keys.extend_from_slice(bytes);
+        let key = (start, self.scratch.keys.len() as u32);
         let state = if let Some(v) = cached {
             State::Resolved(v)
         } else {
@@ -413,9 +454,6 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
                         self.cache.store(id, 0.0);
                         State::Resolved(0.0)
                     } else {
-                        let start = self.scratch.keys.len() as u32;
-                        self.scratch.keys.extend_from_slice(bytes);
-                        let key = (start, self.scratch.keys.len() as u32);
                         self.scratch.build_stack.push(Expansion { ix, depth, key });
                         self.scratch.pending.push(ix);
                         // Placeholder; `expand` fills the pair slice in.
@@ -429,6 +467,8 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         };
         self.scratch.nodes.push(DagNode { id, size, state });
         self.scratch.index.insert(id, ix);
+        self.scratch.memo.entry(hash).or_insert(ix);
+        self.scratch.node_keys.push(key);
         Ok(ix)
     }
 

@@ -31,13 +31,26 @@
 //!   1 (their inner recursions are identical), `RecursiveVoting` uses its
 //!   saturated `voting_cap`.
 //!
-//! Since the interned-id rework, the key axis is a dense [`TwigId`] from the
+//! Since the interned-id rework, the key axis is a [`TwigId`] from the
 //! engine-wide [`TwigInterner`] rather than the canonical byte string
-//! itself: each distinct sub-twig encoding is hashed and cloned exactly
-//! once, at id assignment; every later probe — including across generations
-//! and voting classes — is a `u32` shard-table lookup with no hashing of key
-//! bytes and no allocation. Ids are content-addressed and never recycled, so
-//! generation invalidation stays a per-value concern exactly as before.
+//! itself: each distinct sub-twig encoding is hashed and cloned once, when
+//! it takes a slot; every later probe — including across generations and
+//! voting classes — is a shard-table lookup with no hashing of key bytes
+//! and no allocation.
+//!
+//! ## Bounded state
+//!
+//! The slot table and the shard entries together stay under
+//! [`EngineConfig::budget_bytes`], counted as [`EngineStats::bytes`]
+//! counts them. Before a fresh encoding takes a slot, the engine evicts
+//! with the table's CLOCK sweep until the table, plus one shard entry per
+//! registered voting class for every interned encoding, fits; an evicted
+//! slot's entries go with it, and its next tenant gets a new incarnation.
+//! A cache entry records the incarnation it was computed under and only
+//! answers an id of that incarnation, so a reused slot never answers for
+//! the key it held before — also while a query that interned the old key
+//! is still running, whose DAG tells the two apart by the same id. An
+//! eviction can therefore only lose a hit, never change a value.
 //!
 //! Because cached values equal what a per-query evaluation would compute,
 //! batch results are bit-for-bit identical to a sequential
@@ -53,7 +66,7 @@
 //! memo plus some locking overhead; use [`TreeLattice::estimate`] there.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,7 +78,12 @@ use tl_xml::FxHashMap;
 use crate::catalog::{has_unknown_label, Catalog};
 use crate::dag::{estimate_dag, DagStats, IdCache};
 use crate::resilient::{estimate_resilient_with, ResilientEstimate};
-use crate::{EstimateOptions, Estimator, TreeLattice};
+#[cfg(doc)]
+use crate::TreeLattice;
+use crate::{EstimateOptions, Estimator};
+
+/// The default [`EngineConfig::budget_bytes`]: 8 MiB.
+pub const DEFAULT_BUDGET_BYTES: usize = 8 << 20;
 
 /// Construction knobs for [`EstimationEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -77,6 +95,12 @@ pub struct EngineConfig {
     /// Worker threads for [`EstimationEngine::estimate_batch`]
     /// (`0` = available parallelism).
     pub threads: usize,
+    /// Bytes the engine's state may hold, counted as [`EngineStats::bytes`]
+    /// counts them: slot records, index entries and key bytes of the slot
+    /// table, and shard entries. Past it the engine evicts (see the module
+    /// docs). Defaults to [`DEFAULT_BUDGET_BYTES`]; `usize::MAX` never
+    /// evicts.
+    pub budget_bytes: usize,
 }
 
 impl Default for EngineConfig {
@@ -84,6 +108,7 @@ impl Default for EngineConfig {
         Self {
             shards: 16,
             threads: 0,
+            budget_bytes: DEFAULT_BUDGET_BYTES,
         }
     }
 }
@@ -98,28 +123,30 @@ pub struct EngineStats {
     pub misses: u64,
     /// Entries currently cached across all shards.
     pub entries: usize,
-    /// Approximate heap footprint of the cached entries, in bytes (shard
-    /// tables plus the interner's stored encodings, mirroring
-    /// `Summary::heap_bytes` accounting).
+    /// The engine's state as its budget counts it: the slot table's
+    /// records, index entries and key bytes, plus 25 bytes per shard
+    /// entry. Tables count at their lengths, not their capacities.
     pub bytes: usize,
     /// Wall-clock duration of the most recent
     /// [`EstimationEngine::estimate_batch`] call.
     pub last_batch: Duration,
-    /// Interner occupancy: distinct canonical encodings ever id-assigned.
+    /// Interner occupancy: canonical encodings holding a slot now.
     pub interner_keys: usize,
+    /// Slots the budget evicted so far.
+    pub evicted: u64,
     /// Distinct sub-twig nodes materialized across all evaluation DAGs.
     pub dag_nodes: u64,
     /// Total sub-twig references across all evaluation DAGs; exceeds
     /// `dag_nodes` whenever decomposition operands are shared.
     pub dag_refs: u64,
-    /// Canonical key bytes cloned into the interner — charged only on first
-    /// sighting of an encoding. A warm probe clones zero key bytes; this
+    /// Canonical key bytes cloned into the interner — charged only when an
+    /// encoding takes a slot. A warm probe clones zero key bytes; this
     /// counter staying flat across a repeat workload is the allocation-free
     /// lookup guarantee.
     pub key_clone_bytes: u64,
     /// Pattern-store probes served by counting backends (the mmap catalog)
-    /// during `estimate` / `estimate_batch` calls on this engine. In-memory
-    /// backends are not metered and contribute 0.
+    /// during estimates on this engine. In-memory backends are not metered
+    /// and contribute 0.
     pub catalog_lookups: u64,
 }
 
@@ -146,17 +173,22 @@ impl EngineStats {
     }
 }
 
+/// A shard entry as the budget charges it: `(voting class, slot)` →
+/// `(incarnation, estimate)` plus the hash table's control byte.
+const ENTRY_BYTES: usize = std::mem::size_of::<((u32, u32), (u32, f64))>() + 1;
+
 /// One lock-guarded slice of the cache.
 struct Shard {
     /// Generation the entries were computed against. Lookups for any other
     /// generation miss; stores for a newer one clear the shard first.
     generation: u64,
-    /// `(voting class, interned twig id) -> estimate`, flattened to a
-    /// single probe on the warm path.
-    entries: FxHashMap<(u32, TwigId), f64>,
+    /// `(voting class, slot) -> (incarnation, estimate)`, flattened to a
+    /// single probe on the warm path. A value answers only an id of the
+    /// incarnation it records.
+    entries: FxHashMap<(u32, u32), (u32, f64)>,
 }
 
-/// A persistent, thread-safe estimation service over [`TreeLattice`]s.
+/// A persistent, thread-safe estimation service over any [`Catalog`].
 ///
 /// ```
 /// use tl_xml::{parse_document, ParseOptions};
@@ -183,13 +215,22 @@ pub struct EstimationEngine {
     /// `shards.len() - 1`; shard count is a power of two.
     mask: usize,
     threads: usize,
-    /// Engine-wide id assignment for canonical sub-twig encodings. Read-lock
-    /// fast path for warm probes; a write lock is taken only to assign a
-    /// fresh id. Survives [`EstimationEngine::clear`] and generation bumps —
-    /// ids are content-addressed, so they stay valid forever.
+    budget: usize,
+    /// Engine-wide slot table for canonical sub-twig encodings. Read-lock
+    /// fast path for warm probes; a write lock is taken only to give a
+    /// fresh encoding a slot, evicting first when the budget is reached.
+    /// Survives [`EstimationEngine::clear`] and generation bumps.
     interner: RwLock<TwigInterner>,
+    /// Voting classes stored so far: an evicted slot's entries are removed
+    /// under each, and the budget reserves one entry per class per slot.
+    classes: RwLock<Vec<u32>>,
+    /// Source of per-query epochs for the slot table's reference bits.
+    epochs: AtomicU32,
+    /// Shard entries across all shards.
+    entries: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
+    evicted: AtomicU64,
     key_clone_bytes: AtomicU64,
     dag_nodes: AtomicU64,
     dag_refs: AtomicU64,
@@ -214,8 +255,9 @@ impl EstimationEngine {
 
     /// Creates an engine reporting to `rec`: per-query `engine.queries` /
     /// `engine.query.latency_us` / `engine.decomposition.depth`, cache
-    /// `engine.cache.{hits,misses}`, and the `engine.batch` span. The
-    /// recorder is `Arc`-shared so batch worker threads report too.
+    /// `engine.cache.{hits,misses,evicted}` and the `engine.cache.bytes`
+    /// gauge, and the `engine.batch` span. The recorder is `Arc`-shared so
+    /// batch worker threads report too.
     pub fn with_recorder(config: EngineConfig, rec: Arc<dyn tl_obs::Recorder>) -> Self {
         let n = config.shards.max(1).next_power_of_two();
         let shards = (0..n)
@@ -231,9 +273,14 @@ impl EstimationEngine {
             shards,
             mask: n - 1,
             threads: config.threads,
+            budget: config.budget_bytes,
             interner: RwLock::new(TwigInterner::new()),
+            classes: RwLock::new(Vec::new()),
+            epochs: AtomicU32::new(0),
+            entries: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
             key_clone_bytes: AtomicU64::new(0),
             dag_nodes: AtomicU64::new(0),
             dag_refs: AtomicU64::new(0),
@@ -245,8 +292,8 @@ impl EstimationEngine {
 
     /// Estimates one query through the shared cache, against any
     /// [`Catalog`] backend: the in-memory lattice or the zero-copy mmap
-    /// reader. Returns exactly what [`TreeLattice::estimate_with`] (or
-    /// [`crate::estimate_catalog`]) returns for the same inputs.
+    /// reader. Returns exactly what [`TreeLattice::estimate_with`]
+    /// (or [`crate::estimate_catalog`]) returns for the same inputs.
     /// Generations keep backends apart: every opened catalog carries a
     /// fresh one, so cached values never leak between stores.
     pub fn estimate<C: Catalog + ?Sized>(
@@ -256,16 +303,31 @@ impl EstimationEngine {
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> f64 {
+        self.with_cache(catalog, estimator, opts, |cache| {
+            self.estimate_in(catalog, twig, estimator, opts, cache)
+        })
+    }
+
+    /// Runs `f` with one cache adapter for `catalog`'s generation and the
+    /// estimator's voting class, flushes the adapter's counters, and
+    /// charges the catalog probes `f` made.
+    fn with_cache<C: Catalog + ?Sized, R>(
+        &self,
+        catalog: &C,
+        estimator: Estimator,
+        opts: &EstimateOptions,
+        f: impl FnOnce(&mut SharedIdCache<'_>) -> R,
+    ) -> R {
         let before = catalog.served_lookups();
         let mut cache =
             SharedIdCache::new(self, catalog.generation(), voting_class(estimator, opts));
-        let value = self.estimate_in(catalog, twig, estimator, opts, &mut cache);
+        let result = f(&mut cache);
         drop(cache);
         self.catalog_lookups.fetch_add(
             catalog.served_lookups().saturating_sub(before),
             Ordering::Relaxed,
         );
-        value
+        result
     }
 
     /// One query against an existing cache adapter (whose `(generation,
@@ -283,6 +345,7 @@ impl EstimationEngine {
         if has_unknown_label(catalog, twig) {
             return 0.0;
         }
+        cache.begin_query();
         let start = cache.recording.then(Instant::now);
         let (value, depth, stats) = estimate_dag(catalog, twig, estimator, opts, cache);
         self.note_query(start);
@@ -317,35 +380,40 @@ impl EstimationEngine {
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> Vec<f64> {
-        let probes_before = catalog.served_lookups();
-        let generation = catalog.generation();
-        let class = voting_class(estimator, opts);
-        let results = self.run_batch(
-            batch.len(),
-            || SharedIdCache::new(self, generation, class),
-            |cache, i| self.estimate_in(catalog, &batch[i], estimator, opts, cache),
-        );
-        self.catalog_lookups.fetch_add(
-            catalog.served_lookups().saturating_sub(probes_before),
-            Ordering::Relaxed,
-        );
-        results
+        self.run_batch(catalog, batch.len(), estimator, opts, |cache, i| {
+            self.estimate_in(catalog, &batch[i], estimator, opts, cache)
+        })
     }
 
     /// Estimates one query through the shared cache under the budget in
-    /// `opts`, degrading instead of erroring (see [`crate::resilient`]),
-    /// and containing any panic in the estimation path as
-    /// [`tl_fault::FaultKind::WorkerPanic`].
+    /// `opts`, against any [`Catalog`] backend, degrading instead of
+    /// erroring (see [`crate::resilient`]), and containing any panic in the
+    /// estimation path as [`tl_fault::FaultKind::WorkerPanic`].
     ///
     /// Only the undegraded rung reads and writes the shared cache —
     /// degraded values stay in a query-local memo, so a budget-constrained
     /// caller can never pollute estimates served to unconstrained ones.
-    pub fn estimate_resilient(
+    pub fn estimate_resilient<C: Catalog + ?Sized>(
         &self,
-        lattice: &TreeLattice,
+        catalog: &C,
         twig: &Twig,
         estimator: Estimator,
         opts: &EstimateOptions,
+    ) -> Result<ResilientEstimate, Fault> {
+        self.with_cache(catalog, estimator, opts, |cache| {
+            self.estimate_resilient_in(catalog, twig, estimator, opts, cache)
+        })
+    }
+
+    /// One resilient query against an existing cache adapter, under
+    /// `catch_unwind`.
+    fn estimate_resilient_in<C: Catalog + ?Sized>(
+        &self,
+        catalog: &C,
+        twig: &Twig,
+        estimator: Estimator,
+        opts: &EstimateOptions,
+        cache: &mut SharedIdCache<'_>,
     ) -> Result<ResilientEstimate, Fault> {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if failpoints::fire(failpoints::sites::ENGINE_WORKER) {
@@ -354,7 +422,20 @@ impl EstimationEngine {
                     failpoints::sites::ENGINE_WORKER
                 );
             }
-            self.estimate_resilient_inner(lattice, twig, estimator, opts)
+            if has_unknown_label(catalog, twig) {
+                return ResilientEstimate::exact(0.0);
+            }
+            // Rung 1 runs on the DAG through the shared shards, so its
+            // values are shared with the plain paths; the degraded rungs
+            // use query-local caches inside the ladder.
+            cache.begin_query();
+            let start = cache.recording.then(Instant::now);
+            let (est, rung1) = estimate_resilient_with(catalog, twig, estimator, opts, cache);
+            self.note_query(start);
+            if let Some((depth, stats)) = rung1 {
+                cache.note_dag(depth, stats);
+            }
+            est
         }));
         match outcome {
             Ok(est) => {
@@ -376,68 +457,50 @@ impl EstimationEngine {
         }
     }
 
-    fn estimate_resilient_inner(
-        &self,
-        lattice: &TreeLattice,
-        twig: &Twig,
-        estimator: Estimator,
-        opts: &EstimateOptions,
-    ) -> ResilientEstimate {
-        if has_unknown_label(lattice, twig) {
-            return ResilientEstimate::exact(0.0);
-        }
-        // Rung 1 runs on the DAG through the shared shards, so its values
-        // are shared with the plain paths; the degraded rungs use
-        // query-local caches inside the ladder.
-        let mut cache =
-            SharedIdCache::new(self, lattice.generation(), voting_class(estimator, opts));
-        let start = cache.recording.then(Instant::now);
-        let (est, rung1) = estimate_resilient_with(lattice, twig, estimator, opts, &mut cache);
-        self.note_query(start);
-        if let Some((depth, stats)) = rung1 {
-            cache.note_dag(depth, stats);
-        }
-        est
-    }
-
     /// [`estimate_batch`](EstimationEngine::estimate_batch) with per-query
-    /// fault isolation: each worker item runs under `catch_unwind`, so one
+    /// fault isolation: each item runs under `catch_unwind`, so one
     /// poisoned query comes back as `Err(FaultKind::WorkerPanic)` while
     /// every other entry completes normally. The shard locks are
     /// `parking_lot` (no poisoning) and the shared cache only ever holds
     /// fully-computed undegraded values, so a contained panic cannot leave
-    /// the cache inconsistent.
-    pub fn estimate_batch_resilient(
+    /// the cache inconsistent. Each worker carries one cache adapter
+    /// through all its items, as the plain batch does.
+    pub fn estimate_batch_resilient<C: Catalog + Sync + ?Sized>(
         &self,
-        lattice: &TreeLattice,
+        catalog: &C,
         batch: &[Twig],
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> Vec<Result<ResilientEstimate, Fault>> {
-        self.run_batch(
-            batch.len(),
-            || (),
-            |_, i| self.estimate_resilient(lattice, &batch[i], estimator, opts),
-        )
+        self.run_batch(catalog, batch.len(), estimator, opts, |cache, i| {
+            self.estimate_resilient_in(catalog, &batch[i], estimator, opts, cache)
+        })
     }
 
     /// Runs `item` on every index of a batch of `len` and returns the
     /// results in index order, over the configured worker threads. Workers
     /// pull indices from a shared atomic cursor, so an expensive query does
-    /// not stall the others, and each carries one state from `init` through
-    /// all its items. Records the `engine.batch` span and the batch time.
-    fn run_batch<S, T: Send>(
+    /// not stall the others, and each carries one cache adapter through all
+    /// its items. Records the `engine.batch` span and the batch time, and
+    /// charges the catalog probes.
+    fn run_batch<C: Catalog + Sync + ?Sized, T: Send>(
         &self,
+        catalog: &C,
         len: usize,
-        init: impl Fn() -> S + Sync,
-        item: impl Fn(&mut S, usize) -> T + Sync,
+        estimator: Estimator,
+        opts: &EstimateOptions,
+        item: impl Fn(&mut SharedIdCache<'_>, usize) -> T + Sync,
     ) -> Vec<T> {
         let _span = tl_obs::SpanGuard::start(&*self.rec, tl_obs::names::SPAN_BATCH);
         let start = Instant::now();
+        let probes_before = catalog.served_lookups();
+        let generation = catalog.generation();
+        let class = voting_class(estimator, opts);
+        let init = || SharedIdCache::new(self, generation, class);
         let threads = self.effective_threads(len);
         let results = if threads <= 1 {
-            let mut state = init();
-            (0..len).map(|i| item(&mut state, i)).collect()
+            let mut cache = init();
+            (0..len).map(|i| item(&mut cache, i)).collect()
         } else {
             let cursor = AtomicUsize::new(0);
             let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
@@ -445,14 +508,14 @@ impl EstimationEngine {
                 let workers: Vec<_> = (0..threads)
                     .map(|_| {
                         scope.spawn(|| {
-                            let mut state = init();
+                            let mut cache = init();
                             let mut done = Vec::new();
                             loop {
                                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                                 if i >= len {
                                     break done;
                                 }
-                                done.push((i, item(&mut state, i)));
+                                done.push((i, item(&mut cache, i)));
                             }
                         })
                     })
@@ -470,15 +533,21 @@ impl EstimationEngine {
                 .map(|slot| slot.expect("cursor visits every index"))
                 .collect()
         };
+        self.catalog_lookups.fetch_add(
+            catalog.served_lookups().saturating_sub(probes_before),
+            Ordering::Relaxed,
+        );
         self.last_batch_nanos
             .store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         results
     }
 
-    /// Drops every cached entry (counters are kept).
+    /// Drops every cached entry (counters and interned keys are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut guard = shard.write();
+            self.entries
+                .fetch_sub(guard.entries.len(), Ordering::Relaxed);
             guard.entries.clear();
             guard.generation = 0;
         }
@@ -486,21 +555,16 @@ impl EstimationEngine {
 
     /// Current cache statistics.
     pub fn stats(&self) -> EngineStats {
-        let mut entries = 0usize;
-        let mut bytes = 0usize;
-        for shard in &self.shards {
-            let guard = shard.read();
-            entries += guard.entries.len();
-            bytes += guard.entries.capacity() * (std::mem::size_of::<((u32, TwigId), f64)>() + 1);
-        }
         let interner = self.interner.read();
+        let entries = self.entries.load(Ordering::Relaxed);
         EngineStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries,
-            bytes: bytes + interner.heap_bytes(),
+            bytes: interner.heap_bytes() + entries * ENTRY_BYTES,
             last_batch: Duration::from_nanos(self.last_batch_nanos.load(Ordering::Relaxed)),
             interner_keys: interner.len(),
+            evicted: self.evicted.load(Ordering::Relaxed),
             dag_nodes: self.dag_nodes.load(Ordering::Relaxed),
             dag_refs: self.dag_refs.load(Ordering::Relaxed),
             key_clone_bytes: self.key_clone_bytes.load(Ordering::Relaxed),
@@ -517,10 +581,53 @@ impl EstimationEngine {
         configured.min(batch_len.max(1))
     }
 
-    /// Dense ids need no hashing to pick a shard: the low bits are already
-    /// uniformly spread by first-sighting order.
-    fn shard_for_id(&self, id: TwigId) -> &RwLock<Shard> {
-        &self.shards[(id as usize) & self.mask]
+    /// Slots need no hashing to pick a shard: their low bits are already
+    /// spread by first-sighting order.
+    fn shard_for(&self, id: TwigId) -> &RwLock<Shard> {
+        &self.shards[(id.slot() as usize) & self.mask]
+    }
+
+    /// Evicts from `table` until it fits the budget with one entry per
+    /// registered class reserved for every slot, and room for a fresh key
+    /// of `fresh` bytes if one is about to be interned. An evicted slot's
+    /// entries are removed under every registered class. Returns the
+    /// number of slots evicted.
+    fn make_room(&self, table: &mut TwigInterner, fresh: Option<usize>) -> u64 {
+        let classes = self.classes.read();
+        let per_slot = classes.len().max(1) * ENTRY_BYTES;
+        let mut evicted = 0;
+        loop {
+            let need = fresh.map_or(0, |len| table.cost_of(len) + per_slot);
+            if table.heap_bytes() + table.len() * per_slot + need <= self.budget {
+                break;
+            }
+            let Some(victim) = table.evict() else { break };
+            evicted += 1;
+            let mut shard = self.shard_for(victim).write();
+            for &class in classes.iter() {
+                if shard.entries.remove(&(class, victim.slot())).is_some() {
+                    self.entries.fetch_sub(1, Ordering::Relaxed);
+                }
+            }
+        }
+        evicted
+    }
+
+    /// Registers a voting class before its first store, evicting until the
+    /// budget's per-class reservation fits again. Returns the slots evicted.
+    fn register_class(&self, class: u32) -> u64 {
+        if self.classes.read().contains(&class) {
+            return 0;
+        }
+        let mut table = self.interner.write();
+        {
+            let mut classes = self.classes.write();
+            if classes.contains(&class) {
+                return 0;
+            }
+            classes.push(class);
+        }
+        self.make_room(&mut table, None)
     }
 }
 
@@ -542,8 +649,13 @@ struct SharedIdCache<'e> {
     engine: &'e EstimationEngine,
     generation: u64,
     class: u32,
+    /// The current query's epoch (see [`TwigInterner::probe`]).
+    epoch: u32,
+    /// Whether this adapter's class is registered with the engine.
+    registered: bool,
     hits: u64,
     misses: u64,
+    evicted: u64,
     key_clone_bytes: u64,
     fresh_keys: u64,
     dag_nodes: u64,
@@ -559,14 +671,22 @@ impl<'e> SharedIdCache<'e> {
             engine,
             generation,
             class,
+            epoch: 0,
+            registered: false,
             hits: 0,
             misses: 0,
+            evicted: 0,
             key_clone_bytes: 0,
             fresh_keys: 0,
             dag_nodes: 0,
             dag_refs: 0,
             recording: engine.rec.enabled(),
         }
+    }
+
+    /// Starts a query: probes from now on carry a fresh epoch.
+    fn begin_query(&mut self) {
+        self.epoch = self.engine.epochs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds one DAG build's statistics to the batched counters and, when
@@ -587,21 +707,30 @@ impl IdCache for SharedIdCache<'_> {
         // Warm probe: a shared read lock and no allocation. Only a
         // first-sighting encoding escalates to the write lock and pays the
         // one-time clone.
-        if let Some(id) = self.engine.interner.read().get(bytes) {
+        if let Some(id) = self.engine.interner.read().probe(bytes, self.epoch) {
             return id;
         }
-        let (id, cloned) = self.engine.interner.write().intern_bytes(bytes);
-        // `cloned > 0` iff this thread won the assignment race; a loser's
-        // write-lock re-probe hits and clones nothing.
-        self.key_clone_bytes += cloned as u64;
-        self.fresh_keys += (cloned > 0) as u64;
+        let mut table = self.engine.interner.write();
+        // A thread that lost the race to intern the same encoding finds it
+        // here and clones nothing.
+        if let Some(id) = table.probe(bytes, self.epoch) {
+            return id;
+        }
+        self.evicted += self.engine.make_room(&mut table, Some(bytes.len()));
+        let id = table.insert(bytes, self.epoch);
+        self.key_clone_bytes += bytes.len() as u64;
+        self.fresh_keys += 1;
         id
     }
 
     fn lookup(&mut self, id: TwigId) -> Option<f64> {
-        let guard = self.engine.shard_for_id(id).read();
+        let guard = self.engine.shard_for(id).read();
         let value = if guard.generation == self.generation {
-            guard.entries.get(&(self.class, id)).copied()
+            guard
+                .entries
+                .get(&(self.class, id.slot()))
+                .filter(|&&(incarnation, _)| incarnation == id.incarnation())
+                .map(|&(_, value)| value)
         } else {
             None
         };
@@ -613,13 +742,28 @@ impl IdCache for SharedIdCache<'_> {
     }
 
     fn store(&mut self, id: TwigId, value: f64) {
-        let mut guard = self.engine.shard_for_id(id).write();
+        if !self.registered {
+            self.evicted += self.engine.register_class(self.class);
+            self.registered = true;
+        }
+        let mut guard = self.engine.shard_for(id).write();
         if guard.generation != self.generation {
             // Entries belong to a superseded summary; evict lazily.
+            self.engine
+                .entries
+                .fetch_sub(guard.entries.len(), Ordering::Relaxed);
             guard.entries.clear();
             guard.generation = self.generation;
         }
-        guard.entries.insert((self.class, id), value);
+        // A slot evicted since `id` was interned may hold another key now;
+        // the value is stored under `id`'s incarnation, so it can only cost
+        // that key a hit.
+        let previous = guard
+            .entries
+            .insert((self.class, id.slot()), (id.incarnation(), value));
+        if previous.is_none() {
+            self.engine.entries.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -627,46 +771,39 @@ impl Drop for SharedIdCache<'_> {
     fn drop(&mut self) {
         // Zero deltas skip the shared-line RMW: a warm single-probe query
         // flushes exactly one counter.
-        if self.hits > 0 {
-            self.engine.hits.fetch_add(self.hits, Ordering::Relaxed);
-        }
-        if self.misses > 0 {
-            self.engine.misses.fetch_add(self.misses, Ordering::Relaxed);
-        }
-        if self.key_clone_bytes > 0 {
-            self.engine
-                .key_clone_bytes
-                .fetch_add(self.key_clone_bytes, Ordering::Relaxed);
-        }
-        if self.dag_nodes > 0 {
-            self.engine
-                .dag_nodes
-                .fetch_add(self.dag_nodes, Ordering::Relaxed);
-        }
-        if self.dag_refs > 0 {
-            self.engine
-                .dag_refs
-                .fetch_add(self.dag_refs, Ordering::Relaxed);
+        let engine = self.engine;
+        for (counter, delta) in [
+            (&engine.hits, self.hits),
+            (&engine.misses, self.misses),
+            (&engine.evicted, self.evicted),
+            (&engine.key_clone_bytes, self.key_clone_bytes),
+            (&engine.dag_nodes, self.dag_nodes),
+            (&engine.dag_refs, self.dag_refs),
+        ] {
+            if delta > 0 {
+                counter.fetch_add(delta, Ordering::Relaxed);
+            }
         }
         if self.recording {
-            self.engine
-                .rec
-                .add(tl_obs::names::ENGINE_CACHE_HITS, self.hits);
-            self.engine
-                .rec
-                .add(tl_obs::names::ENGINE_CACHE_MISSES, self.misses);
-            self.engine
-                .rec
-                .add(tl_obs::names::ENGINE_INTERNER_KEYS, self.fresh_keys);
-            self.engine
-                .rec
-                .add(tl_obs::names::ENGINE_KEY_CLONE_BYTES, self.key_clone_bytes);
-            self.engine
-                .rec
-                .add(tl_obs::names::ENGINE_DAG_NODES, self.dag_nodes);
-            self.engine
-                .rec
-                .add(tl_obs::names::ENGINE_DAG_REFS, self.dag_refs);
+            use tl_obs::names;
+            for (name, delta) in [
+                (names::ENGINE_CACHE_HITS, self.hits),
+                (names::ENGINE_CACHE_MISSES, self.misses),
+                (names::ENGINE_CACHE_EVICTED, self.evicted),
+                (names::ENGINE_INTERNER_KEYS, self.fresh_keys),
+                (names::ENGINE_KEY_CLONE_BYTES, self.key_clone_bytes),
+                (names::ENGINE_DAG_NODES, self.dag_nodes),
+                (names::ENGINE_DAG_REFS, self.dag_refs),
+            ] {
+                engine.rec.add(name, delta);
+            }
+            // The state only changes on a miss, so a warm query skips the
+            // gauge and its lock.
+            if self.misses > 0 {
+                let bytes = engine.interner.read().heap_bytes()
+                    + engine.entries.load(Ordering::Relaxed) * ENTRY_BYTES;
+                engine.rec.gauge(names::ENGINE_CACHE_BYTES, bytes as f64);
+            }
         }
     }
 }
@@ -676,7 +813,7 @@ mod tests {
     use tl_xml::{parse_document, Document, ParseOptions};
 
     use super::*;
-    use crate::BuildConfig;
+    use crate::{BuildConfig, TreeLattice};
 
     fn doc(s: &str) -> Document {
         parse_document(s.as_bytes(), ParseOptions::default()).unwrap()
@@ -832,6 +969,7 @@ mod tests {
             EngineConfig {
                 shards: 4,
                 threads: 2,
+                ..EngineConfig::default()
             },
             rec.clone(),
         );
@@ -923,9 +1061,12 @@ mod tests {
         // Pruning may force deeper expansion (new sub-twigs, new ids) …
         engine.estimate(&lat, &twig, Estimator::Recursive, &opts);
         let first = engine.stats();
-        assert!(first.interner_keys >= keys, "ids are never recycled");
-        // … but ids are content-addressed: repeating the workload against
-        // the cleared cache and new generation re-clones nothing.
+        assert!(
+            first.interner_keys >= keys,
+            "nothing is evicted within budget"
+        );
+        // … but keys outlive values: repeating the workload against the
+        // cleared cache and new generation re-clones nothing.
         engine.clear();
         engine.estimate(&lat, &twig, Estimator::Recursive, &opts);
         let second = engine.stats();
@@ -972,6 +1113,7 @@ mod tests {
         let engine = EstimationEngine::new(EngineConfig {
             shards: 3,
             threads: 1,
+            ..EngineConfig::default()
         });
         assert_eq!(engine.shards.len(), 4);
         assert_eq!(engine.mask, 3);

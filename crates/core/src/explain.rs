@@ -7,17 +7,20 @@
 //! the exact overlap whose correlation broke the assumption.
 //!
 //! The trace walks the plain recursive estimator's decomposition DAG (the
-//! crate's `dag` module) from the root, printing a node each time a pair
-//! references it, so it runs on any [`PatternStore`]: the in-memory
-//! summary or the mmap catalog.
+//! crate's `dag` module) from the root and prints each distinct node once,
+//! numbered by its place in the DAG. A decomposed node's line names its
+//! three operands by number; an operand printed before is not expanded
+//! again, so the trace has one line per DAG node however often pairs share
+//! an operand. It runs on any [`PatternStore`]: the in-memory summary or
+//! the mmap catalog.
 
 use std::fmt::Write as _;
 
-use tl_twig::{Twig, TwigId, TwigKey};
+use tl_twig::{Twig, TwigKey};
 use tl_xml::LabelInterner;
 
 use crate::catalog::PatternStore;
-use crate::dag::{walk_dag, DagWalk, IdCache, LocalIdCache};
+use crate::dag::{walk_dag, DagWalk, LocalIdCache};
 use crate::interval::estimate_interval;
 use crate::Lookup;
 
@@ -27,10 +30,11 @@ use crate::Lookup;
 /// at each step); the header additionally reports the voting estimate and
 /// the decomposition-disagreement interval. The root prints as given;
 /// each operand prints as its canonical form decodes, which may list
-/// siblings in another order than the query did.
+/// siblings in another order than the query did. Every node prints once,
+/// as `#n`; a later reference to it is the `#n` in its parent's line.
 pub fn explain<S: PatternStore + ?Sized>(store: &S, labels: &LabelInterner, twig: &Twig) -> String {
     let iv = estimate_interval(store, twig);
-    walk_dag(store, twig, false, |dag, cache: &TraceCache| {
+    walk_dag(store, twig, false, |dag, cache: &LocalIdCache| {
         let mut out = String::new();
         let query = twig.to_query_string(labels);
         let _ = writeln!(
@@ -45,76 +49,61 @@ pub fn explain<S: PatternStore + ?Sized>(store: &S, labels: &LabelInterner, twig
                 "inf".to_owned()
             },
         );
-        let trace = Trace {
+        let mut trace = Trace {
             store,
             labels,
             dag,
             cache,
+            printed: vec![false; dag.len()],
         };
         trace.render(0, &query, 0, &mut out);
         out
     })
 }
 
-/// The walk's id cache: a [`LocalIdCache`] that also keeps each id's
-/// canonical bytes, so every node of the DAG can be printed.
-#[derive(Default)]
-struct TraceCache {
-    ids: LocalIdCache,
-    keys: Vec<TwigKey>,
-}
-
-impl IdCache for TraceCache {
-    fn intern(&mut self, bytes: &[u8]) -> TwigId {
-        let id = self.ids.intern(bytes);
-        if id as usize == self.keys.len() {
-            self.keys.push(TwigKey::from_raw(bytes.into()));
-        }
-        id
-    }
-
-    fn lookup(&mut self, id: TwigId) -> Option<f64> {
-        self.ids.lookup(id)
-    }
-
-    fn store(&mut self, id: TwigId, value: f64) {
-        self.ids.store(id, value);
-    }
-}
-
 /// What rendering one node reads: the store (for the node's reason), the
-/// label table, and the walked DAG with its keys.
+/// label table, the walked DAG with its keys, and which nodes are printed.
 struct Trace<'a, S: ?Sized> {
     store: &'a S,
     labels: &'a LabelInterner,
     dag: &'a DagWalk<'a>,
-    cache: &'a TraceCache,
+    cache: &'a LocalIdCache,
+    printed: Vec<bool>,
 }
 
 impl<S: PatternStore + ?Sized> Trace<'_, S> {
-    /// Prints node `ix` as `query` at `depth`, then its pair's operands.
-    fn render(&self, ix: u32, query: &str, depth: usize, out: &mut String) {
+    /// Prints node `ix` as `query` at `depth`, then the operands of its
+    /// pair that are not printed yet.
+    fn render(&mut self, ix: u32, query: &str, depth: usize, out: &mut String) {
+        self.printed[ix as usize] = true;
         let indent = "  ".repeat(depth);
-        let key = &self.cache.keys[self.dag.id(ix) as usize];
-        match self.store.lookup_bytes(key.as_bytes()) {
+        let key = self.cache.key(self.dag.id(ix));
+        match self.store.lookup_bytes(key) {
             Lookup::Exact(c) => {
-                let _ = writeln!(out, "{indent}{query} = {c}  (stored, exact)");
+                let _ = writeln!(out, "{indent}#{ix} {query} = {c}  (stored, exact)");
             }
             Lookup::Derivable | Lookup::TooLarge if self.dag.size(ix) <= 2 => {
-                let _ = writeln!(out, "{indent}{query} = 0  (absent from complete level)");
+                let _ = writeln!(
+                    out,
+                    "{indent}#{ix} {query} = 0  (absent from complete level)"
+                );
             }
             source @ (Lookup::Derivable | Lookup::TooLarge) => {
                 let why = match source {
                     Lookup::TooLarge => "larger than the summary order",
                     _ => "pruned as derivable",
                 };
+                let [t1, t2, t12] = self.dag.pairs(ix)[0];
                 let _ = writeln!(
                     out,
-                    "{indent}{query} ~= {:.3}  ({why}; s(T1)*s(T2)/s(T12) with)",
+                    "{indent}#{ix} {query} ~= {:.3}  ({why}; s(T1)*s(T2)/s(T12) with #{t1} #{t2} #{t12})",
                     self.dag.value(ix)
                 );
-                for &operand in &self.dag.pairs(ix)[0] {
-                    let key = &self.cache.keys[self.dag.id(operand) as usize];
+                for operand in [t1, t2, t12] {
+                    if self.printed[operand as usize] {
+                        continue;
+                    }
+                    let key = TwigKey::from_raw(self.cache.key(self.dag.id(operand)).into());
                     let query = key.decode().to_query_string(self.labels);
                     self.render(operand, &query, depth + 1, out);
                 }
@@ -175,6 +164,39 @@ mod tests {
             text.contains("absent from complete level") || text.contains("= 0  (stored, exact)"),
             "{text}"
         );
+    }
+
+    /// A 13-node query on an XMark summary at k = 2 decomposes into a DAG
+    /// whose operands are shared many times over; the trace prints each
+    /// node once, so it has no more lines than the DAG has nodes, plus the
+    /// two header lines.
+    #[test]
+    fn each_dag_node_prints_once() {
+        let _fp = tl_fault::failpoints::shared();
+        let doc = tl_datagen::Dataset::Xmark.generate(tl_datagen::GenConfig {
+            seed: 11,
+            target_elements: 20_000,
+        });
+        let lat = TreeLattice::build(&doc, &BuildConfig::with_k(2));
+        let q = lat
+            .parse_query(
+                "site/regions/namerica/item[name][incategory]\
+                 [mailbox/mail[from][to]][description/parlist/listitem]",
+            )
+            .unwrap();
+        assert_eq!(q.len(), 13);
+        let nodes = walk_dag(lat.summary(), &q, false, |dag, _: &LocalIdCache| dag.len());
+        let text = explain(lat.summary(), lat.labels(), &q);
+        let lines = text.lines().count();
+        assert!(lines <= nodes + 2, "{lines} lines for {nodes} DAG nodes");
+        assert!(nodes > 20, "the query decomposes: {nodes} nodes");
+        // Every node is numbered once, and every operand a line names is
+        // printed somewhere.
+        for ix in 0..nodes {
+            let label = format!("#{ix} ");
+            let printed = text.lines().filter(|l| l.trim_start().starts_with(&label));
+            assert_eq!(printed.count(), 1, "node {ix}:\n{text}");
+        }
     }
 
     #[test]

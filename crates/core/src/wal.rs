@@ -30,6 +30,7 @@
 //! `snapshot.after_rename`) let the chaos suite and the recovery gate
 //! (`gates --only recovery`) prove it for every injected crash point.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -730,10 +731,12 @@ impl Default for DurableOptions {
 /// Rebuilds tuner state from `dir`: newest valid snapshot, then the WAL
 /// tail. `base` seeds the state when no snapshot exists yet (the mined
 /// summary the server was started with); once a snapshot exists it is
-/// authoritative and `base` is ignored.
-pub fn recover(
+/// authoritative and `base` is ignored. Pass the base by value to have it
+/// moved into the recovered state; a borrowed base is copied only when it
+/// is used.
+pub fn recover<'b>(
     dir: &Path,
-    base: Option<&TreeLattice>,
+    base: Option<impl Into<Cow<'b, TreeLattice>>>,
     opts: &DurableOptions,
     rec: &dyn Recorder,
 ) -> Result<Recovered, Fault> {
@@ -789,7 +792,7 @@ pub fn recover(
                 ))
             })?;
             (
-                TunedLattice::new(base.clone(), opts.online_budget),
+                TunedLattice::new(base.into().into_owned(), opts.online_budget),
                 0,
                 None,
                 IdemCache::new(opts.idem_capacity),
@@ -840,6 +843,20 @@ pub fn recover(
     })
 }
 
+/// A base summary [`recover`] takes by value.
+impl From<TreeLattice> for Cow<'_, TreeLattice> {
+    fn from(lattice: TreeLattice) -> Self {
+        Cow::Owned(lattice)
+    }
+}
+
+/// A base summary [`recover`] copies if it needs it.
+impl<'b> From<&'b TreeLattice> for Cow<'b, TreeLattice> {
+    fn from(lattice: &'b TreeLattice) -> Self {
+        Cow::Borrowed(lattice)
+    }
+}
+
 /// Outcome of one [`DurableLattice::apply`].
 #[derive(Clone, Debug)]
 pub struct Applied {
@@ -873,9 +890,9 @@ pub struct DurableLattice {
 impl DurableLattice {
     /// Runs recovery over `dir` (created if missing) and opens the WAL
     /// for appending, sealing any torn tail.
-    pub fn open(
+    pub fn open<'b>(
         dir: &Path,
-        base: Option<&TreeLattice>,
+        base: Option<impl Into<Cow<'b, TreeLattice>>>,
         opts: &DurableOptions,
         rec: &dyn Recorder,
     ) -> Result<(Self, RecoveryReport), Fault> {

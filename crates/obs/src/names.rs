@@ -48,6 +48,11 @@ pub const CATALOG_MMAP_BYTES_MAPPED: &str = "catalog.mmap.bytes_mapped";
 pub const ENGINE_CACHE_HITS: &str = "engine.cache.hits";
 /// Sub-twig lookups that had to be computed.
 pub const ENGINE_CACHE_MISSES: &str = "engine.cache.misses";
+/// Slots the engine's byte budget evicted, each with its cached values.
+pub const ENGINE_CACHE_EVICTED: &str = "engine.cache.evicted";
+/// Gauge: the engine's state in bytes as its budget counts it (slot
+/// table plus shard entries), sampled after each query that missed.
+pub const ENGINE_CACHE_BYTES: &str = "engine.cache.bytes";
 /// Queries estimated (engine or observed per-query path).
 pub const ENGINE_QUERIES: &str = "engine.queries";
 /// Distinct sub-twig nodes materialized across all evaluation DAGs.
@@ -180,6 +185,7 @@ pub const SCHEMA_COUNTERS: &[&str] = &[
     CATALOG_MMAP_BYTES_MAPPED,
     ENGINE_CACHE_HITS,
     ENGINE_CACHE_MISSES,
+    ENGINE_CACHE_EVICTED,
     ENGINE_QUERIES,
     ENGINE_DAG_NODES,
     ENGINE_DAG_REFS,
@@ -218,6 +224,9 @@ pub const SCHEMA_HISTOGRAMS: &[&str] = &[
     DECOMP_DEPTH,
     SERVER_LATENCY_US,
 ];
+
+/// Gauges pre-registered by [`crate::MetricsRecorder::with_schema`].
+pub const SCHEMA_GAUGES: &[&str] = &[ENGINE_CACHE_BYTES];
 
 /// Spans pre-registered by [`crate::MetricsRecorder::with_schema`].
 pub const SCHEMA_SPANS: &[&str] = &[

@@ -180,6 +180,9 @@ impl MetricsRecorder {
         for &name in names::SCHEMA_HISTOGRAMS {
             rec.hists.ensure(name, Hist::new);
         }
+        for &name in names::SCHEMA_GAUGES {
+            rec.gauges.ensure(name, || AtomicU64::new(0));
+        }
         for &name in names::SCHEMA_SPANS {
             rec.spans.ensure(name, SpanStat::new);
         }
@@ -352,6 +355,9 @@ mod tests {
         }
         for &name in names::SCHEMA_HISTOGRAMS {
             assert!(snap.histograms.contains_key(name), "{name}");
+        }
+        for &name in names::SCHEMA_GAUGES {
+            assert_eq!(snap.gauges.get(name), Some(&0.0), "{name}");
         }
         for &name in names::SCHEMA_SPANS {
             assert!(snap.spans.contains_key(name), "{name}");

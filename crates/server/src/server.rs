@@ -20,9 +20,10 @@
 //! 3. Holding the slot, the thread runs the requested estimator under
 //!    the tenant's [`Budget`] (deadline measured from admission, so time
 //!    parked counts against it), releases the slot, and writes the
-//!    response. Budget trips degrade down the ladder on either backend
-//!    (through the engine's shared cache in memory, a per-query cache on
-//!    mmap); the response carries the rung.
+//!    response. Either backend estimates through the server's one
+//!    [`EstimationEngine`], whose bounded cache its queries share; a batch
+//!    is one engine batch call on this thread. Budget trips degrade down
+//!    the ladder, and the response carries the rung.
 //!
 //! `scrape` bypasses the gate entirely: observability must work *best*
 //! exactly when the server is overloaded.
@@ -41,9 +42,9 @@ use tl_obs::{names, MetricsRecorder, Recorder};
 use tl_twig::canonical::key_of;
 use tl_twig::{parse_twig_in, Twig, TwigParseError};
 use treelattice::{
-    estimate_resilient_catalog, markov_estimate, Catalog, DurabilityPolicy, DurableLattice,
-    DurableOptions, EngineConfig, EstimateOptions, EstimationEngine, Estimator, Lookup,
-    MmapCatalog, PatternStore, ResilientEstimate, TreeLattice, TunedLattice,
+    markov_estimate, Catalog, DurabilityPolicy, DurableLattice, DurableOptions, EngineConfig,
+    EstimateOptions, EstimationEngine, Estimator, Lookup, MmapCatalog, PatternStore,
+    ResilientEstimate, TreeLattice, TunedLattice,
 };
 
 use crate::protocol::{read_frame_with, write_frame, FrameError, Request, Response, WireEstimate};
@@ -99,10 +100,10 @@ impl TenantSpec {
 pub struct ServerConfig {
     pub summary_path: PathBuf,
     /// Serve from the zero-copy mmap catalog instead of deserializing
-    /// into memory. Read-only: `update` requests are refused as usage
-    /// errors. Estimates run the full degradation ladder under the
-    /// tenant's budget, like the memory backend, but with a per-query
-    /// cache instead of the engine's shared one; sheds degrade to Markov.
+    /// into memory. Only how the summary is loaded changes: estimates go
+    /// through the same engine and its shared cache, under the tenant's
+    /// budget, and sheds degrade to Markov. Read-only: `update` requests
+    /// are refused as usage errors.
     pub mmap: bool,
     /// Port to bind on 127.0.0.1; `0` asks the OS for an ephemeral port
     /// (read it back from [`ServerHandle::addr`] or `--port-file`).
@@ -173,7 +174,6 @@ enum Backend {
     Memory {
         // Boxed so the enum stays near the size of its mmap variant.
         store: Box<RwLock<Store>>,
-        engine: EstimationEngine,
     },
     Mmap {
         catalog: MmapCatalog,
@@ -186,7 +186,7 @@ impl Backend {
     /// the store-identity contract.
     fn markov(&self, twig: &Twig) -> f64 {
         match self {
-            Backend::Memory { store, .. } => markov_estimate(store.read().tuned().lattice(), twig),
+            Backend::Memory { store } => markov_estimate(store.read().tuned().lattice(), twig),
             Backend::Mmap { catalog } => markov_estimate(catalog, twig),
         }
     }
@@ -196,36 +196,61 @@ impl Backend {
     /// which estimate to zero.
     fn parse(&self, query: &str) -> Result<Twig, TwigParseError> {
         match self {
-            Backend::Memory { store, .. } => {
+            Backend::Memory { store } => {
                 parse_twig_in(query, store.read().tuned().lattice().labels())
             }
             Backend::Mmap { catalog } => parse_twig_in(query, catalog.labels()),
         }
     }
 
-    fn estimate(&self, twig: &Twig, estimator: Estimator, budget: Budget) -> Response {
-        let opts = EstimateOptions {
-            budget,
-            ..EstimateOptions::default()
-        };
-        match self {
-            Backend::Memory { store, engine } => {
-                let guard = store.read();
-                match engine.estimate_resilient(guard.tuned().lattice(), twig, estimator, &opts) {
-                    Ok(est) => Response::Estimate(wire(est)),
-                    Err(fault) => Response::fault(fault),
-                }
+    /// One estimate through `engine`, on the lattice under the store read
+    /// lock or on the mapped frame. A contained panic is a typed fault.
+    fn estimate(
+        &self,
+        engine: &EstimationEngine,
+        twig: &Twig,
+        estimator: Estimator,
+        opts: &EstimateOptions,
+    ) -> Response {
+        let result = match self {
+            Backend::Memory { store } => {
+                engine.estimate_resilient(store.read().tuned().lattice(), twig, estimator, opts)
             }
-            Backend::Mmap { catalog } => Response::Estimate(wire(estimate_resilient_catalog(
-                catalog, twig, estimator, &opts,
-            ))),
+            Backend::Mmap { catalog } => engine.estimate_resilient(catalog, twig, estimator, opts),
+        };
+        match result {
+            Ok(est) => Response::Estimate(wire(est)),
+            Err(fault) => Response::fault(fault),
         }
+    }
+
+    /// A batch as one engine batch call: one cache adapter and one counter
+    /// flush, each item under its own panic containment.
+    fn estimate_batch(
+        &self,
+        engine: &EstimationEngine,
+        twigs: &[Twig],
+        estimator: Estimator,
+        opts: &EstimateOptions,
+    ) -> Response {
+        let results = match self {
+            Backend::Memory { store } => engine.estimate_batch_resilient(
+                store.read().tuned().lattice(),
+                twigs,
+                estimator,
+                opts,
+            ),
+            Backend::Mmap { catalog } => {
+                engine.estimate_batch_resilient(catalog, twigs, estimator, opts)
+            }
+        };
+        Response::Batch(results.into_iter().map(|r| r.map(wire)).collect())
     }
 
     fn truth(&self, twig: &Twig) -> Response {
         let key = key_of(twig);
         let stored = match self {
-            Backend::Memory { store, .. } => store.read().tuned().lattice().summary().stored(&key),
+            Backend::Memory { store } => store.read().tuned().lattice().summary().stored(&key),
             Backend::Mmap { catalog } => match catalog.lookup_bytes(key.as_bytes()) {
                 Lookup::Exact(c) => Some(c),
                 Lookup::Derivable | Lookup::TooLarge => None,
@@ -236,7 +261,7 @@ impl Backend {
 
     fn update(&self, twig: &Twig, true_count: u64, idem: u64, rec: &dyn Recorder) -> Response {
         match self {
-            Backend::Memory { store, .. } => {
+            Backend::Memory { store } => {
                 let mut guard = store.write();
                 match &mut *guard {
                     Store::Plain(tuned) => {
@@ -293,6 +318,8 @@ enum Work {
 
 struct Shared {
     backend: Backend,
+    /// The one estimation engine both backends answer through.
+    engine: EstimationEngine,
     gate: FairQueue<Waiter>,
     budgets: Vec<BudgetSpec>,
     /// Each lane's latency histogram name, built once at start-up and
@@ -384,7 +411,7 @@ impl Shared {
             self.rec.add(names::SERVER_ACCEPTED, 1);
             self.rec
                 .gauge(names::SERVER_QUEUE_DEPTH, self.gate.depth() as f64);
-            if let Backend::Memory { store, .. } = &self.backend {
+            if let Backend::Memory { store } = &self.backend {
                 if let Store::Durable(durable) = &*store.read() {
                     self.rec
                         .gauge(names::SERVER_WAL_LAST_SEQ, durable.last_seq() as f64);
@@ -460,18 +487,18 @@ impl Shared {
     }
 
     fn run_work(&self, work: &Work, budget: Budget) -> Response {
+        let opts = EstimateOptions {
+            budget,
+            ..EstimateOptions::default()
+        };
         match work {
-            Work::Estimate { twig, estimator } => self.backend.estimate(twig, *estimator, budget),
-            Work::Batch { twigs, estimator } => Response::Batch(
-                twigs
-                    .iter()
-                    .map(|t| match self.backend.estimate(t, *estimator, budget) {
-                        Response::Estimate(e) => Ok(e),
-                        Response::Error { fault, .. } => Err(fault),
-                        _ => unreachable!("estimate returns estimate or error"),
-                    })
-                    .collect(),
-            ),
+            Work::Estimate { twig, estimator } => {
+                self.backend.estimate(&self.engine, twig, *estimator, &opts)
+            }
+            Work::Batch { twigs, estimator } => {
+                self.backend
+                    .estimate_batch(&self.engine, twigs, *estimator, &opts)
+            }
             Work::Truth { twig } => self.backend.truth(twig),
             Work::Update {
                 twig,
@@ -533,7 +560,7 @@ impl ServerHandle {
         self.shared.gate.begin_drain();
         self.shared.gate.wait_idle(Instant::now() + DRAIN_DEADLINE);
         let _ = self.accept.join();
-        if let Backend::Memory { store, .. } = &self.shared.backend {
+        if let Backend::Memory { store } = &self.shared.backend {
             if let Store::Durable(durable) = &mut *store.write() {
                 durable.drain(self.shared.rec.as_ref())?;
             }
@@ -570,7 +597,6 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
         let lattice = TreeLattice::from_bytes(&bytes).map_err(|e| {
             Fault::corrupt_summary(format!("{}: {e}", config.summary_path.display()))
         })?;
-        let engine = EstimationEngine::with_recorder(EngineConfig::default(), rec.clone());
         let store = match &config.wal_dir {
             Some(dir) => {
                 let opts = DurableOptions {
@@ -580,7 +606,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
                     ..DurableOptions::default()
                 };
                 let (durable, report) =
-                    DurableLattice::open(dir, Some(&lattice), &opts, rec.as_ref())?;
+                    DurableLattice::open(dir, Some(lattice), &opts, rec.as_ref())?;
                 rec.set_meta("server.wal_dir", dir.display().to_string());
                 rec.set_meta("server.durability", config.durability.to_string());
                 rec.set_meta("server.recovery", report.to_string());
@@ -590,9 +616,17 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
         };
         Backend::Memory {
             store: Box::new(RwLock::new(store)),
-            engine,
         }
     };
+    // One thread: a batch runs on its request's connection thread, inside
+    // the request's execution slot, and starts no threads of its own.
+    let engine = EstimationEngine::with_recorder(
+        EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        },
+        rec.clone(),
+    );
 
     let mut tenants = config.tenants.clone();
     if !tenants.iter().any(|t| t.config.name == DEFAULT_TENANT) {
@@ -621,6 +655,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
     };
     let shared = Arc::new(Shared {
         backend,
+        engine,
         gate: FairQueue::with_slots(&lanes, slots),
         budgets,
         tenant_latency,

@@ -93,6 +93,131 @@ fn batch_matches_singles() {
     handle.shutdown().expect("clean drain");
 }
 
+/// The server's counter `name` from a fresh scrape.
+fn scraped(client: &mut Client, name: &str) -> u64 {
+    tl_obs::Snapshot::from_json(&client.scrape().unwrap())
+        .unwrap()
+        .counters[name]
+}
+
+/// A wire batch is one engine batch call on either backend: every item
+/// answers bit for bit like the same twig sent alone, and the engine
+/// counts one query per item.
+#[test]
+fn batches_run_through_the_engine_on_both_backends() {
+    let lattice = sample_lattice();
+    let path = write_summary(&lattice, "engine-batch.tlat");
+    // Known labels only: an unknown one answers 0 before the engine.
+    let queries: Vec<String> = QUERIES
+        .iter()
+        .filter(|&&q| q != "nosuch")
+        .map(|q| q.to_string())
+        .collect();
+    for mmap in [false, true] {
+        let mut config = ServerConfig::new(&path);
+        config.mmap = mmap;
+        let handle = serve(config).unwrap();
+        let mut batcher = Client::connect(handle.addr(), "default").unwrap();
+        let mut singles = Client::connect(handle.addr(), "default").unwrap();
+        for est in Estimator::ALL {
+            let queries_before = scraped(&mut batcher, "engine.queries");
+            let batch = batcher.estimate_batch(est, &queries).unwrap();
+            let counted = scraped(&mut batcher, "engine.queries") - queries_before;
+            assert_eq!(counted, queries.len() as u64, "mmap={mmap} {est}");
+            for (q, item) in queries.iter().zip(&batch) {
+                let item = item.as_ref().unwrap();
+                let single = singles.estimate(est, q).unwrap();
+                assert_eq!(
+                    item.degradation, single.degradation,
+                    "mmap={mmap} {est} {q}"
+                );
+                assert_eq!(
+                    item.value.to_bits(),
+                    single.value.to_bits(),
+                    "mmap={mmap} {est} {q}"
+                );
+            }
+        }
+        handle.shutdown().expect("clean drain");
+    }
+}
+
+/// `count` distinct twigs of 3–6 nodes, each the top of a random node's
+/// subtree in a seeded XMark document, as query strings.
+fn seeded_pool(seed: u64, count: usize) -> (TreeLattice, Vec<String>) {
+    use rand::{Rng, SeedableRng};
+    let doc = tl_datagen::Dataset::Xmark.generate(tl_datagen::GenConfig {
+        seed,
+        target_elements: 2_000,
+    });
+    let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut pool = std::collections::BTreeSet::new();
+    for _ in 0..20 * count {
+        if pool.len() == count {
+            break;
+        }
+        let size = rng.gen_range(3..=6);
+        let start = tl_xml::NodeId(rng.gen_range(0..doc.len() as u32));
+        let mut twig = tl_twig::Twig::single(doc.label(start));
+        let mut frontier = vec![(start, twig.root())];
+        while twig.len() < size && !frontier.is_empty() {
+            let (node, at) = frontier.swap_remove(rng.gen_range(0..frontier.len()));
+            for child in doc.children(node) {
+                if twig.len() < size {
+                    frontier.push((child, twig.add_child(at, doc.label(child))));
+                }
+            }
+        }
+        if twig.len() >= 3 {
+            pool.insert(twig.to_query_string(doc.labels()));
+        }
+    }
+    assert_eq!(pool.len(), count, "the pool came up short");
+    (lattice, pool.into_iter().collect())
+}
+
+/// Both backends estimate through the server's engine; over a seeded pool,
+/// sent twice so the second pass answers from the cache, the mmap and
+/// memory answers stay bit-identical to each other and to the engineless
+/// estimate.
+#[test]
+fn mmap_and_memory_answer_bit_identically_over_a_seeded_pool() {
+    let (lattice, pool) = seeded_pool(17, 60);
+    let path = write_summary(&lattice, "pool.tlat");
+    let serve_on = |mmap: bool| {
+        let mut config = ServerConfig::new(&path);
+        config.mmap = mmap;
+        serve(config).unwrap()
+    };
+    let (mmap, memory) = (serve_on(true), serve_on(false));
+    let mut on_mmap = Client::connect(mmap.addr(), "default").unwrap();
+    let mut on_memory = Client::connect(memory.addr(), "default").unwrap();
+    let catalog = MmapCatalog::open(&path).unwrap();
+    for pass in ["cold", "warm"] {
+        for q in &pool {
+            let mut labels = catalog.labels().clone();
+            let twig = tl_twig::parse_twig(q, &mut labels).unwrap();
+            for est in [Estimator::Recursive, Estimator::RecursiveVoting] {
+                let a = on_mmap.estimate(est, q).unwrap();
+                let b = on_memory.estimate(est, q).unwrap();
+                let local = estimate_catalog(&catalog, &twig, est, &EstimateOptions::default());
+                assert_eq!(a.degradation, Degradation::None, "{pass} {est} {q}");
+                assert_eq!(a.value.to_bits(), b.value.to_bits(), "{pass} {est} {q}");
+                assert_eq!(a.value.to_bits(), local.to_bits(), "{pass} {est} {q}");
+            }
+        }
+    }
+    for client in [&mut on_mmap, &mut on_memory] {
+        assert!(
+            scraped(client, "engine.cache.hits") > 0,
+            "the warm pass hit"
+        );
+    }
+    mmap.shutdown().expect("clean drain");
+    memory.shutdown().expect("clean drain");
+}
+
 #[test]
 fn truth_update_and_generation_bump() {
     let lattice = sample_lattice();

@@ -9,7 +9,8 @@
 //! other's.
 //!
 //! - A warm estimate, answered by the engine's root probe, allocates
-//!   nothing, through the plain and the resilient entry points alike.
+//!   nothing, through the plain and the resilient entry points alike, on
+//!   the in-memory lattice and on the mmap catalog.
 //! - A cold `RecursiveVoting` estimate on the mmap catalog builds its whole
 //!   decomposition DAG with a per-query cache. After one warm-up pass on
 //!   the same thread, its allocations per query stay under a committed
@@ -78,6 +79,11 @@ fn warm_engine_estimates_allocate_nothing() {
         target_elements: 2_000,
     });
     let lat = TreeLattice::build(&doc, &BuildConfig::with_k(3));
+    let dir = std::env::temp_dir().join(format!("tl-dag-alloc-warm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("frame.tlat");
+    std::fs::write(&path, lat.to_bytes()).unwrap();
+    let catalog = MmapCatalog::open(&path).unwrap();
     let twig = lat.parse_query("item[name][mailbox/mail]").unwrap();
     let engine = EstimationEngine::default();
     let opts = EstimateOptions::default();
@@ -85,6 +91,10 @@ fn warm_engine_estimates_allocate_nothing() {
     for est in estimators {
         assert!(engine.estimate(&lat, &twig, est, &opts) > 0.0, "{est}");
         engine.estimate_resilient(&lat, &twig, est, &opts).unwrap();
+        assert!(engine.estimate(&catalog, &twig, est, &opts) > 0.0, "{est}");
+        engine
+            .estimate_resilient(&catalog, &twig, est, &opts)
+            .unwrap();
     }
     assert!(engine.stats().dag_nodes > 0, "the cold pass decomposed");
 
@@ -93,9 +103,17 @@ fn warm_engine_estimates_allocate_nothing() {
         for est in estimators {
             std::hint::black_box(engine.estimate(&lat, &twig, est, &opts));
             std::hint::black_box(engine.estimate_resilient(&lat, &twig, est, &opts).unwrap());
+            std::hint::black_box(engine.estimate(&catalog, &twig, est, &opts));
+            std::hint::black_box(
+                engine
+                    .estimate_resilient(&catalog, &twig, est, &opts)
+                    .unwrap(),
+            );
         }
     }
     assert_eq!(allocations() - before, 0, "a warm estimate allocated");
+    drop(catalog);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

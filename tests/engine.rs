@@ -9,7 +9,10 @@
 //! * one engine serves concurrent batches from multiple OS threads without
 //!   data races or cross-talk;
 //! * under interleaved estimates and mutations, every engine answer also
-//!   equals the literal recursion of `tl_oracle::twin`.
+//!   equals the literal recursion of `tl_oracle::twin`;
+//! * under any byte budget, down to a few slots, an engine that evicts
+//!   answers bit for bit like one that never does, and a flood of
+//!   distinct queries keeps its state under the budget.
 
 use tl_datagen::{Dataset, GenConfig};
 use tl_workload::{negative_workload, positive_workload};
@@ -59,7 +62,11 @@ fn batch_is_bitwise_equal_to_sequential_for_all_estimators_and_threads() {
             .map(|t| lattice.estimate_with(t, estimator, &opts).to_bits())
             .collect();
         for threads in [1, 4] {
-            let engine = EstimationEngine::new(EngineConfig { shards: 8, threads });
+            let engine = EstimationEngine::new(EngineConfig {
+                shards: 8,
+                threads,
+                ..EngineConfig::default()
+            });
             // Cold cache, then warm cache: both must be exact.
             for pass in ["cold", "warm"] {
                 let got = engine.estimate_batch(&lattice, &twigs, estimator, &opts);
@@ -130,6 +137,7 @@ fn concurrent_batches_share_one_engine_race_free() {
     let engine = EstimationEngine::new(EngineConfig {
         shards: 4,
         threads: 4,
+        ..EngineConfig::default()
     });
     let opts = EstimateOptions::default();
     let twigs_a = mixed_twigs(&doc);
@@ -178,6 +186,7 @@ fn stats_report_hits_entries_and_batch_time() {
     let engine = EstimationEngine::new(EngineConfig {
         shards: 8,
         threads: 2,
+        ..EngineConfig::default()
     });
     let opts = EstimateOptions::default();
     let twigs = mixed_twigs(&doc);
@@ -196,6 +205,64 @@ fn stats_report_hits_entries_and_batch_time() {
     engine.clear();
     assert_eq!(engine.stats().entries, 0);
 }
+
+/// A flood of distinct serve-cold-shaped queries (7–10-node occurring
+/// twigs, `RecursiveVoting`, an IMDB stand-in at k = 5) keeps the engine's
+/// state under its budget, evicting as it goes, and every value stays the
+/// engineless one.
+#[test]
+fn a_flood_of_distinct_queries_stays_under_the_budget() {
+    use rand::{Rng, SeedableRng};
+    let doc = Dataset::Imdb.generate(GenConfig {
+        seed: 5,
+        target_elements: 20_000,
+    });
+    let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(5));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let mut seen = std::collections::HashSet::new();
+    let mut twigs = Vec::new();
+    while twigs.len() < FLOOD_QUERIES {
+        let size = rng.gen_range(7..=10);
+        if let Some(t) = tl_workload::sample::random_occurred_twig(&doc, &mut rng, size) {
+            if seen.insert(tl_twig::canonical::key_of(&t)) {
+                twigs.push(t);
+            }
+        }
+    }
+    let budget = 256 << 10;
+    let rec = std::sync::Arc::new(tl_obs::MetricsRecorder::new());
+    let engine = EstimationEngine::with_recorder(
+        EngineConfig {
+            threads: 1,
+            budget_bytes: budget,
+            ..EngineConfig::default()
+        },
+        rec.clone(),
+    );
+    let opts = EstimateOptions::default();
+    let mut peak = 0;
+    for (i, twig) in twigs.iter().enumerate() {
+        let got = engine.estimate(&lattice, twig, Estimator::RecursiveVoting, &opts);
+        if i % 50 == 0 {
+            let want = lattice.estimate_with(twig, Estimator::RecursiveVoting, &opts);
+            assert_eq!(got.to_bits(), want.to_bits(), "query {i}");
+        }
+        peak = peak.max(engine.stats().bytes);
+    }
+    let stats = engine.stats();
+    assert!(
+        peak <= budget,
+        "peak {peak} bytes over a {budget}-byte budget"
+    );
+    assert!(stats.evicted > 0, "{stats:?}");
+    assert!(stats.hits > 0, "{stats:?}");
+    let snap = rec.snapshot();
+    assert_eq!(snap.counters["engine.cache.evicted"], stats.evicted);
+    assert_eq!(snap.gauges["engine.cache.bytes"], stats.bytes as f64);
+}
+
+/// Distinct queries in the flood above.
+const FLOOD_QUERIES: usize = 2_000;
 
 /// Satellite property: the shared cache is transparent under arbitrary
 /// interleavings of estimates and summary mutations. Whatever sequence of
@@ -324,7 +391,11 @@ mod cache_generation_properties {
             let mut lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
             // One engine for the whole run: its cache must survive every
             // mutation only through generation-tagged invalidation.
-            let engine = EstimationEngine::new(EngineConfig { shards: 4, threads: 1 });
+            let engine = EstimationEngine::new(EngineConfig {
+                shards: 4,
+                threads: 1,
+                ..EngineConfig::default()
+            });
 
             assert_engine_transparent(&engine, &lattice, &twigs, 0)?;
             // `update_after_edit` requires an unpruned summary (the API
@@ -357,6 +428,172 @@ mod cache_generation_properties {
                 assert_engine_transparent(&engine, &lattice, &twigs, step + 1)?;
             }
         }
+    }
+
+    /// One step of a bounded-engine run. Every estimating step compares
+    /// the bounded engine with an unbounded one on the same lattice.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `engine.estimate` of one twig under one estimator.
+        Estimate(usize, usize),
+        /// `engine.estimate_resilient` of one twig.
+        Resilient(usize, usize),
+        /// `engine.estimate_batch` of every twig.
+        Batch(usize),
+        /// Append a record, or prune: the generation moves.
+        Bump(Op),
+        /// `clear` the bounded engine only.
+        Clear,
+    }
+
+    fn arb_step(twigs: usize) -> impl Strategy<Value = Step> {
+        let est = 0..Estimator::ALL.len();
+        prop_oneof![
+            (0..twigs, est.clone()).prop_map(|(t, e)| Step::Estimate(t, e)),
+            (0..twigs, est.clone()).prop_map(|(t, e)| Step::Estimate(t, e)),
+            (0..twigs, est.clone()).prop_map(|(t, e)| Step::Resilient(t, e)),
+            est.prop_map(Step::Batch),
+            arb_op().prop_map(Step::Bump),
+            Just(Step::Clear),
+        ]
+    }
+
+    /// Budgets from a few slots (one query evicts slots it interned
+    /// itself) through a few dozen to unbounded.
+    fn arb_budget() -> impl Strategy<Value = usize> {
+        prop_oneof![200usize..800, 800usize..8_000, Just(usize::MAX)]
+    }
+
+    fn bounded(budget: usize, threads: usize) -> EstimationEngine {
+        EstimationEngine::new(EngineConfig {
+            shards: 4,
+            threads,
+            budget_bytes: budget,
+        })
+    }
+
+    /// Runs `steps` on a bounded engine and an unbounded one over the same
+    /// lattice, failing on the first value that differs.
+    fn run_bounded(
+        doc_spec: &TreeSpec,
+        twig_specs: &[TreeSpec],
+        steps: &[Step],
+        budget: usize,
+        threads: usize,
+    ) -> Result<u64, TestCaseError> {
+        let mut doc = build_doc(doc_spec);
+        let twigs: Vec<tl_twig::Twig> = twig_specs.iter().map(|s| build_twig(s, &doc)).collect();
+        let mut lattice = TreeLattice::build(&doc, &BuildConfig::with_k(2));
+        let engine = bounded(budget, threads);
+        let reference = bounded(usize::MAX, 1);
+        let opts = EstimateOptions::default();
+        let mut pruned = false;
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                Step::Estimate(t, e) => {
+                    let est = Estimator::ALL[*e];
+                    let got = engine.estimate(&lattice, &twigs[*t], est, &opts);
+                    let want = reference.estimate(&lattice, &twigs[*t], est, &opts);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "step {} {:?}", i, step);
+                }
+                Step::Resilient(t, e) => {
+                    let est = Estimator::ALL[*e];
+                    let got = engine.estimate_resilient(&lattice, &twigs[*t], est, &opts);
+                    let want = reference.estimate_resilient(&lattice, &twigs[*t], est, &opts);
+                    prop_assert_eq!(got.unwrap(), want.unwrap(), "step {} {:?}", i, step);
+                }
+                Step::Batch(e) => {
+                    let est = Estimator::ALL[*e];
+                    let got = engine.estimate_batch(&lattice, &twigs, est, &opts);
+                    let want = reference.estimate_batch(&lattice, &twigs, est, &opts);
+                    for (j, (a, b)) in got.iter().zip(&want).enumerate() {
+                        prop_assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "step {} {:?} twig {}",
+                            i,
+                            step,
+                            j
+                        );
+                    }
+                }
+                Step::Bump(Op::Append(record_spec, at)) if !pruned => {
+                    let record = build_doc(record_spec);
+                    let parent = NodeId(at % doc.len() as u32);
+                    let edit = append_subtree(&doc, parent, &record);
+                    lattice.update_after_edit(&edit.document, &edit.touched);
+                    doc = edit.document;
+                }
+                Step::Bump(Op::Remove(at)) if !pruned && doc.len() > 1 => {
+                    let victim = NodeId(1 + at % (doc.len() as u32 - 1));
+                    let edit = remove_subtree(&doc, victim);
+                    lattice.update_after_edit(&edit.document, &edit.touched);
+                    doc = edit.document;
+                }
+                Step::Bump(Op::Prune(delta)) => {
+                    lattice.prune(*delta);
+                    pruned = true;
+                }
+                Step::Bump(_) => {}
+                Step::Clear => engine.clear(),
+            }
+        }
+        Ok(engine.stats().evicted)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn a_bounded_engine_answers_like_an_unbounded_one(
+            doc_spec in arb_tree(40, 3),
+            twig_specs in prop::collection::vec(arb_tree(9, 3), 2..6),
+            steps in prop::collection::vec(arb_step(5), 1..24),
+            budget in arb_budget(),
+        ) {
+            let steps: Vec<Step> = steps
+                .into_iter()
+                .map(|step| match step {
+                    Step::Estimate(t, e) => Step::Estimate(t % twig_specs.len(), e),
+                    Step::Resilient(t, e) => Step::Resilient(t % twig_specs.len(), e),
+                    other => other,
+                })
+                .collect();
+            run_bounded(&doc_spec, &twig_specs, &steps, budget, 1)?;
+        }
+
+        /// Four batch workers share one bounded engine.
+        #[test]
+        fn four_workers_on_a_bounded_engine_answer_like_one_unbounded(
+            doc_spec in arb_tree(40, 3),
+            twig_specs in prop::collection::vec(arb_tree(9, 3), 4..12),
+            estimators in prop::collection::vec(0..Estimator::ALL.len(), 1..6),
+            budget in arb_budget(),
+        ) {
+            let steps: Vec<Step> = estimators.into_iter().map(Step::Batch).collect();
+            run_bounded(&doc_spec, &twig_specs, &steps, budget, 4)?;
+        }
+    }
+
+    /// The smallest budgets do evict inside a single query: one cold
+    /// voting estimate of a twig that decomposes into more sub-twigs than
+    /// the budget holds.
+    #[test]
+    fn a_few_slots_force_evictions_within_one_query() {
+        let doc_spec: TreeSpec = (0..40u32).map(|i| (i / 2, (i % 3) as u8)).collect();
+        let twig_spec: TreeSpec = (0..8u32).map(|i| (i / 2, (i % 3) as u8)).collect();
+        let doc = build_doc(&doc_spec);
+        let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(2));
+        let twig = build_twig(&twig_spec, &doc);
+        let engine = bounded(400, 1);
+        let opts = EstimateOptions::default();
+        let got = engine.estimate(&lattice, &twig, Estimator::RecursiveVoting, &opts);
+        let want = lattice.estimate_with(&twig, Estimator::RecursiveVoting, &opts);
+        assert_eq!(got.to_bits(), want.to_bits());
+        let stats = engine.stats();
+        assert!(stats.interner_keys <= 4, "{stats:?}");
+        assert!(stats.dag_nodes > 10, "{stats:?}");
+        assert!(stats.evicted > 0, "{stats:?}");
     }
 }
 
@@ -406,7 +643,7 @@ mod interner_properties {
                         sighted.len() - 1
                     }
                 };
-                prop_assert_eq!(id as usize, first);
+                prop_assert_eq!(id.slot() as usize, first);
                 // ...and re-interning is stable and clones zero key bytes.
                 let (again, cloned) = interner.intern_bytes(k.as_bytes());
                 prop_assert_eq!(again, id);
@@ -417,7 +654,7 @@ mod interner_properties {
             let distinct: std::collections::HashSet<&[u8]> =
                 keys.iter().map(|k| k.as_bytes()).collect();
             prop_assert_eq!(interner.len(), distinct.len());
-            let mut unique_ids = ids.clone();
+            let mut unique_ids: Vec<u32> = ids.iter().map(|id| id.slot()).collect();
             unique_ids.sort_unstable();
             unique_ids.dedup();
             prop_assert_eq!(unique_ids.len(), distinct.len());

@@ -12,6 +12,8 @@
 //!   differ several-fold.
 //! - `TreeLattice::build_with_index` allocates a constant number more than
 //!   mining the same index alone.
+//! - Opening a fresh WAL directory moves the base summary into the durable
+//!   state: it allocates the same on both summaries.
 //! - A seeded storm of observations, under an online budget small enough
 //!   to evict, ends in a frame, a footprint and an online state pinned to
 //!   committed values: updating the live table stores exactly what
@@ -25,7 +27,7 @@ use tl_fault::fnv1a;
 use tl_miner::{mine_with_index_budgeted, MineConfig};
 use tl_twig::Twig;
 use tl_xml::{DocIndex, Document, LabelId};
-use treelattice::{Budget, BuildConfig, TreeLattice, TunedLattice};
+use treelattice::{Budget, BuildConfig, DurableLattice, DurableOptions, TreeLattice, TunedLattice};
 
 struct CountingAlloc;
 
@@ -132,6 +134,39 @@ fn observe_allocations_do_not_grow_with_the_summary() {
     assert_eq!(
         counts[0], counts[1],
         "(insert, evict) allocations on {patterns:?} patterns"
+    );
+}
+
+#[test]
+fn opening_a_fresh_wal_directory_copies_no_table() {
+    let mut counts = Vec::new();
+    let mut patterns = Vec::new();
+    for elements in [SMALL, LARGE] {
+        let (doc, index) = imdb(elements);
+        let lattice = build(&doc, &index, K);
+        patterns.push(lattice.summary().len());
+        let dir = std::env::temp_dir().join(format!(
+            "tl-table-copies-wal-{}-{elements}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = DurableOptions::default();
+        let (opened, allocations) = measured(|| {
+            DurableLattice::open(&dir, Some(lattice), &opts, &tl_obs::NOOP).map(|(d, _)| d)
+        });
+        let durable = opened.expect("a fresh directory opens");
+        assert_eq!(
+            durable.tuned().lattice().summary().len(),
+            patterns[patterns.len() - 1]
+        );
+        counts.push(allocations);
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(patterns, [1_741, 5_672], "fixture pattern counts");
+    assert_eq!(
+        counts[0], counts[1],
+        "allocations to open a fresh WAL directory on {patterns:?} patterns"
     );
 }
 
