@@ -26,6 +26,7 @@ use std::path::Path;
 
 use tl_datagen::{Dataset, GenConfig};
 use tl_fault::failpoints::{self, sites};
+use tl_twig::canonical::NODE_BYTES;
 use tl_workload::positive_workload;
 use treelattice::{
     BuildConfig, DurabilityPolicy, DurableLattice, DurableOptions, FaultKind, TreeLattice,
@@ -47,6 +48,11 @@ pub const CRASH_SITES: &[&str] = &[
 /// The injection rules each site is driven under: fail every time, fail
 /// exactly once mid-storm, and fail on a deterministic seeded coin.
 pub const CRASH_RULES: &[&str] = &["always", "nth:2", "1in3"];
+
+/// Online budget of every durable store the matrix opens: room for two of
+/// the storm's 3-node keys, so the storm evicts, and each recovery must
+/// reproduce the eviction state too.
+const ONLINE_BUDGET: usize = 2 * (3 * NODE_BYTES + std::mem::size_of::<u64>());
 
 /// Crash points the matrix covers (`sites × rules`).
 pub fn matrix_size() -> usize {
@@ -98,6 +104,9 @@ pub struct CrashRow {
     pub replayed: u64,
     /// Faults the fail-point harness injected during the storm.
     pub injected: u64,
+    /// Online patterns the never-crashed replica evicted while applying
+    /// the acknowledged updates.
+    pub evicted: u64,
     /// Recovered state is byte-identical to a never-crashed replica fed
     /// the acknowledged operations in order, and `recovered_seq == acked`.
     pub bit_identical: bool,
@@ -118,6 +127,8 @@ pub struct RecoveryBench {
     pub torn_tail_sealed: bool,
     /// Drain + reopen reproduced the pre-drain state byte-for-byte.
     pub drain_round_trip: bool,
+    /// Logical CPUs of the host that ran the matrix.
+    pub host_cpus: usize,
 }
 
 impl RecoveryBench {
@@ -134,6 +145,7 @@ impl RecoveryBench {
 
 fn durable_options(snapshot_every: u64) -> DurableOptions {
     DurableOptions {
+        online_budget: ONLINE_BUDGET,
         policy: DurabilityPolicy::Strict,
         snapshot_every,
         ..DurableOptions::default()
@@ -225,6 +237,7 @@ fn run_crash_point(
         recovered_seq: report.last_seq,
         replayed: report.replayed,
         injected,
+        evicted: replica.tuned().stats().evicted,
         bit_identical,
     }
 }
@@ -348,10 +361,13 @@ pub fn build(cfg: &RecoveryBenchConfig) -> RecoveryBench {
         corruption_typed,
         torn_tail_sealed,
         drain_round_trip,
+        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
-/// Renders the result as a `tl-metrics/1` snapshot.
+/// Renders the result as a `tl-metrics/1` snapshot. The meta also records
+/// the host's CPU count and the repeat count: each crash point runs once,
+/// and every figure is a count, not a timing.
 pub fn to_snapshot(b: &RecoveryBench) -> tl_obs::Snapshot {
     let mut snap = tl_obs::Snapshot::default();
     snap.meta.insert("bench".into(), "recovery".into());
@@ -363,6 +379,11 @@ pub fn to_snapshot(b: &RecoveryBench) -> tl_obs::Snapshot {
         .insert("updates_per_point".into(), b.cfg.updates.to_string());
     snap.meta
         .insert("snapshot_every".into(), b.cfg.snapshot_every.to_string());
+    snap.meta
+        .insert("online_budget".into(), ONLINE_BUDGET.to_string());
+    snap.meta
+        .insert("host.cpus".into(), b.host_cpus.to_string());
+    snap.meta.insert("repeats".into(), "1".into());
     snap.counters
         .insert("bench.recovery.crash_points".into(), b.crash_points());
     snap.counters
@@ -374,6 +395,10 @@ pub fn to_snapshot(b: &RecoveryBench) -> tl_obs::Snapshot {
     snap.counters.insert(
         "bench.recovery.replayed_records".into(),
         b.rows.iter().map(|r| r.replayed).sum(),
+    );
+    snap.counters.insert(
+        "bench.recovery.evictions".into(),
+        b.rows.iter().map(|r| r.evicted).sum(),
     );
     snap.gauges.insert(
         "bench.recovery.bit_identity".into(),
@@ -411,6 +436,7 @@ pub fn run(cfg: &RecoveryBenchConfig) -> RecoveryBench {
             "Recovered",
             "Replayed",
             "Injected",
+            "Evicted",
             "Identical",
         ],
     );
@@ -422,6 +448,7 @@ pub fn run(cfg: &RecoveryBenchConfig) -> RecoveryBench {
             r.recovered_seq.to_string(),
             r.replayed.to_string(),
             r.injected.to_string(),
+            r.evicted.to_string(),
             r.bit_identical.to_string(),
         ]);
     }
@@ -470,6 +497,18 @@ mod tests {
         assert!(b.drain_round_trip, "drain must round-trip the state");
         // The always-rules genuinely injected faults somewhere.
         assert!(b.rows.iter().any(|r| r.injected > 0));
+        // Two keys fit the online layer, so every storm that acked three
+        // distinct updates evicted, and recovery reproduced it.
+        for r in b.rows.iter().filter(|r| r.acked >= 3) {
+            assert!(
+                r.evicted > 0,
+                "{}={} acked {} and evicted nothing",
+                r.site,
+                r.rule,
+                r.acked
+            );
+        }
+        assert!(b.rows.iter().any(|r| r.acked >= 3));
         let snap = to_snapshot(&b);
         let parsed = tl_obs::Snapshot::from_json(&to_json(&b)).unwrap();
         assert_eq!(parsed, snap);

@@ -1079,6 +1079,7 @@ mod tests {
             recovered_seq: 0,
             replayed: 0,
             injected: 6,
+            evicted: 0,
             bit_identical: identical,
         };
         let bench = |identical: bool, corrupt: bool, torn: bool, drain: bool| {
@@ -1093,6 +1094,7 @@ mod tests {
                 corruption_typed: corrupt,
                 torn_tail_sealed: torn,
                 drain_round_trip: drain,
+                host_cpus: 2,
             }
         };
         let good = bench(true, true, true, true);

@@ -707,7 +707,8 @@ fn cmd_summary(rest: &[String], out: &mut String) -> Result<(), CliError> {
 
 /// `summary recover <wal-dir> --base <base.tlat> -o <out.tlat>`: offline
 /// recovery — newest valid snapshot plus WAL-tail replay — materialized
-/// as a plain summary frame. The durability directory is not modified.
+/// as one plain summary frame holding the base and the online counts. The
+/// durability directory is not modified.
 fn cmd_summary_recover(mut args: Args<'_>, out: &mut String) -> Result<(), CliError> {
     let wal_dir = args.positional("wal-dir")?.to_owned();
     let base = args.flag_value("--base")?.map(str::to_owned);
@@ -729,7 +730,7 @@ fn cmd_summary_recover(mut args: Args<'_>, out: &mut String) -> Result<(), CliEr
         &opts,
         &tl_obs::NOOP,
     )?;
-    write_file(&output, &recovered.tuned.lattice().to_bytes())?;
+    write_file(&output, &recovered.tuned.compacted().to_bytes())?;
     let _ = writeln!(out, "{} -> {output}", recovered.report);
     Ok(())
 }

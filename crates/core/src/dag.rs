@@ -782,6 +782,11 @@ pub(crate) fn estimate_fixed_dag<C: IdCache, S: PatternStore + ?Sized>(
 /// of `k` nodes. Windows are evaluated lazily in cover order with the same
 /// early-zero return as the recursive formulation, so both the value and
 /// the set of evaluated windows match it exactly.
+///
+/// A twig larger than the store's order is first looked up whole, as the
+/// recursive estimators probe their root: a store with online feedback
+/// (see [`crate::online`]) may hold it exactly. Any other store answers
+/// [`Lookup::TooLarge`], and the cover runs as before.
 fn eval_fixed<C: IdCache, S: PatternStore + ?Sized>(
     ev: &mut DagEvaluator<'_, '_, '_, C, S>,
     twig: &Twig,
@@ -790,6 +795,15 @@ fn eval_fixed<C: IdCache, S: PatternStore + ?Sized>(
 ) -> Result<f64, Fault> {
     if twig.len() <= k {
         return ev.eval_twig(twig);
+    }
+    if twig.len() > ev.store.max_size() {
+        let mut buf = std::mem::take(&mut ev.scratch.root_key);
+        ev.scratch.encoder.encode_into(twig, &mut buf);
+        let whole = ev.store.lookup_bytes(&buf);
+        ev.scratch.root_key = buf;
+        if let Lookup::Exact(c) = whole {
+            return Ok(c as f64);
+        }
     }
     assert!(
         k >= 2,

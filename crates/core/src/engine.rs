@@ -18,10 +18,10 @@
 //! (generation, voting class, canonical key):
 //!
 //! * **Generation** — every [`TreeLattice`] carries a generation drawn from
-//!   a process-wide counter, reassigned by every mutation: each one goes
-//!   through [`TreeLattice::summary_mut`] ([`TreeLattice::merge`],
-//!   [`TreeLattice::update_after_edit`], [`TreeLattice::prune`], and the
-//!   online tuner's in-place feedback). A shard only answers lookups whose
+//!   a process-wide counter, reassigned by every mutation
+//!   ([`TreeLattice::merge`], [`TreeLattice::update_after_edit`],
+//!   [`TreeLattice::prune`]); a [`crate::TunedLattice`] draws a fresh one
+//!   for each insert into or eviction from its overlay. A shard only answers lookups whose
 //!   generation matches the one its entries were computed against, so
 //!   stale entries are unreachable by construction and are evicted lazily
 //!   on the next write.

@@ -376,8 +376,11 @@ mod tests {
     #[test]
     fn derivable_miss_falls_back_to_decomposition() {
         // Level 3 marked pruned and a[b][c] absent: derive 12*6/4 = 18.
-        let (mut s, mut it) = summary_of(&[("a", 4), ("a/b", 12), ("a/c", 6)], 3);
-        s.mark_pruned(3);
+        let (s, mut it) = summary_of(&[("a", 4), ("a/b", 12), ("a/c", 6)], 3);
+        let levels = (1..=3)
+            .map(|size| s.iter_level(size).map(|(k, c)| (k.clone(), c)).collect())
+            .collect();
+        let s = Summary::from_parts(levels, vec![false, false, true]);
         let t = q(&mut it, "a[b][c]");
         let est = estimate(&s, &t, Estimator::Recursive, &EstimateOptions::default());
         assert!((est - 18.0).abs() < 1e-9, "est = {est}");

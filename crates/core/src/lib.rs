@@ -33,14 +33,17 @@
 //! ## Modules
 //!
 //! The lattice summary itself, with its complete/pruned level semantics,
-//! is [`Summary`]: [`tl_miner`] builds it, and a [`TreeLattice`] owns it
-//! and mutates it in place (see [`TreeLattice::summary_mut`]).
+//! is [`Summary`]: [`tl_miner`] builds it, and a [`TreeLattice`] owns it.
+//! Only [`TreeLattice::merge`], [`TreeLattice::update_after_edit`] and
+//! [`TreeLattice::prune`] change it; online feedback lives in an overlay
+//! beside it (see [`online`]).
 //!
 //! * [`estimator`] — recursive decomposition (± voting) and fix-sized
 //!   covering estimators;
 //! * [`pruning`] — δ-derivable pattern pruning (Definition 2 / Figure 6);
 //! * [`online`] — workload-aware on-line tuning (the paper's §6 future
-//!   work): feed executed queries' true counts back into the summary;
+//!   work): executed queries' true counts kept in an overlay over the
+//!   mined summary;
 //! * [`interval`] — decomposition-disagreement error bars (the §6 "error
 //!   bound" direction), on any pattern store;
 //! * [`mod@explain`] — human-readable decomposition traces (EXPLAIN for the
@@ -72,7 +75,7 @@ pub use engine::{EngineConfig, EngineStats, EstimationEngine};
 pub use estimator::{estimate, estimate_fixed_at, EstimateOptions, Estimator};
 pub use explain::explain;
 pub use interval::{estimate_interval, IntervalEstimate};
-pub use online::{TunedLattice, TunerStats};
+pub use online::{OnlineRow, TunedLattice, TunerStats};
 pub use pruning::{prune_derivable, PruneReport};
 pub use resilient::{estimate_resilient_catalog, markov_estimate, ResilientEstimate};
 pub use serialize::ReadError;
@@ -136,10 +139,10 @@ pub struct TreeLattice {
     labels: LabelInterner,
     summary: Summary,
     /// Summary-content version, drawn from a process-wide counter. Every
-    /// mutation goes through [`TreeLattice::summary_mut`], which assigns a
-    /// fresh value; that is how [`engine::EstimationEngine`] invalidates
-    /// its shared cache. Clones keep the generation: identical summaries
-    /// may share cached estimates.
+    /// mutation goes through `summary_mut`, which assigns a fresh value;
+    /// that is how [`engine::EstimationEngine`] invalidates its shared
+    /// cache. Clones keep the generation: identical summaries may share
+    /// cached estimates.
     generation: u64,
 }
 
@@ -277,9 +280,9 @@ impl TreeLattice {
     /// The summary, to change in place. Assigns a fresh generation first,
     /// so the engine's cache never answers from the summary as it was.
     /// Every mutation goes through here: [`merge`](TreeLattice::merge),
-    /// [`update_after_edit`](TreeLattice::update_after_edit),
-    /// [`prune`](TreeLattice::prune) and the online tuner's feedback.
-    pub fn summary_mut(&mut self) -> &mut Summary {
+    /// [`update_after_edit`](TreeLattice::update_after_edit) and
+    /// [`prune`](TreeLattice::prune).
+    fn summary_mut(&mut self) -> &mut Summary {
         self.generation = next_generation();
         &mut self.summary
     }

@@ -10,8 +10,9 @@
 //!   length-prefixed, FNV-1a-checksummed record (the tl-wire/1 idiom)
 //!   *before* it is acknowledged, under a configurable fsync policy
 //!   ([`DurabilityPolicy`]).
-//! * **Snapshots** — the full tuner state (summary frame + online-layer
-//!   heat/clock + idempotency window, sealed under a CRC) is written
+//! * **Snapshots** — the full tuner state (the base summary frame as
+//!   loaded, the online overlay's counted rows and clock, and the
+//!   idempotency window, sealed under a CRC; format version 2) is written
 //!   temp-file → fsync → rename, and the WAL is truncated only after
 //!   the snapshot is durable. Snapshot filenames encode the covered
 //!   sequence number, so a crash between rename and truncation is
@@ -43,7 +44,7 @@ use tl_twig::canonical::key_of;
 use tl_twig::{Twig, TwigKey};
 use tl_xml::FxHashMap;
 
-use crate::online::TunedLattice;
+use crate::online::{OnlineRow, TunedLattice};
 use crate::serialize::crc32;
 use crate::TreeLattice;
 
@@ -502,7 +503,9 @@ impl IdemCache {
 }
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"TSNP";
-const SNAPSHOT_VERSION: u8 = 1;
+/// Version 2 stores a count in every online row; version 1 kept the
+/// counts in the frame and is refused.
+const SNAPSHOT_VERSION: u8 = 2;
 
 /// Durable tuner state as captured by a snapshot: everything replay
 /// determinism depends on. [`crate::TunerStats`] is deliberately absent
@@ -510,7 +513,7 @@ const SNAPSHOT_VERSION: u8 = 1;
 struct SnapshotState {
     last_seq: u64,
     clock: u64,
-    online: Vec<(TwigKey, u64, u64)>,
+    online: Vec<(TwigKey, OnlineRow)>,
     idem: Vec<u64>,
     lattice_bytes: Vec<u8>,
 }
@@ -520,11 +523,12 @@ fn encode_snapshot_payload(state: &SnapshotState) -> Vec<u8> {
     put_u64(&mut p, state.last_seq);
     put_u64(&mut p, state.clock);
     put_u32(&mut p, state.online.len() as u32);
-    for (key, heat, touched) in &state.online {
+    for (key, row) in &state.online {
         put_u32(&mut p, key.as_bytes().len() as u32);
         p.extend_from_slice(key.as_bytes());
-        put_u64(&mut p, *heat);
-        put_u64(&mut p, *touched);
+        put_u64(&mut p, row.count);
+        put_u64(&mut p, row.heat);
+        put_u64(&mut p, row.touched);
     }
     put_u32(&mut p, state.idem.len() as u32);
     for k in &state.idem {
@@ -568,18 +572,28 @@ fn decode_snapshot(bytes: &[u8], path: &Path) -> Result<SnapshotState, Fault> {
     let last_seq = get_u64(payload, &mut at).ok_or_else(err)?;
     let clock = get_u64(payload, &mut at).ok_or_else(err)?;
     let n_online = get_u32(payload, &mut at).ok_or_else(err)? as usize;
-    let mut online = Vec::with_capacity(n_online.min(1 << 16));
+    let mut online: Vec<(TwigKey, OnlineRow)> = Vec::with_capacity(n_online.min(1 << 16));
     for _ in 0..n_online {
         let key_len = get_u32(payload, &mut at).ok_or_else(err)? as usize;
         let key = payload.get(at..at + key_len).ok_or_else(err)?;
         at += key_len;
-        let heat = get_u64(payload, &mut at).ok_or_else(err)?;
-        let touched = get_u64(payload, &mut at).ok_or_else(err)?;
-        online.push((
-            TwigKey::from_raw(key.to_vec().into_boxed_slice()),
-            heat,
-            touched,
-        ));
+        let row = OnlineRow {
+            count: get_u64(payload, &mut at).ok_or_else(err)?,
+            heat: get_u64(payload, &mut at).ok_or_else(err)?,
+            touched: get_u64(payload, &mut at).ok_or_else(err)?,
+        };
+        // Rows are written once each, in key order, and every key decodes.
+        if online
+            .last()
+            .is_some_and(|(prev, _)| prev.as_bytes() >= key)
+        {
+            return Err(ctx("snapshot online rows out of key order"));
+        }
+        let key = TwigKey::from_raw(key.into());
+        if key.try_decode().is_none() {
+            return Err(ctx("snapshot online key does not decode to a twig"));
+        }
+        online.push((key, row));
     }
     let n_idem = get_u32(payload, &mut at).ok_or_else(err)? as usize;
     let mut idem = Vec::with_capacity(n_idem.min(1 << 16));
@@ -863,7 +877,7 @@ pub struct Applied {
     /// Sequence the observation was logged under (the highest applied
     /// sequence, on a dedup hit).
     pub seq: u64,
-    /// Summary generation after the apply.
+    /// Generation of base ⊕ overlay after the apply.
     pub generation: u64,
     /// True when the idempotency window answered a retried update
     /// without re-applying it.
@@ -916,10 +930,12 @@ impl DurableLattice {
         Ok((this, recovered.report))
     }
 
+    /// The tuner: base ⊕ overlay, what estimates and `truth` read.
     pub fn tuned(&self) -> &TunedLattice {
         &self.tuned
     }
 
+    /// The base summary as loaded, without the overlay.
     pub fn lattice(&self) -> &TreeLattice {
         self.tuned.lattice()
     }
@@ -945,7 +961,7 @@ impl DurableLattice {
         if self.idem.contains(idem) {
             return Ok(Applied {
                 seq: self.last_seq,
-                generation: self.tuned.lattice().generation(),
+                generation: self.tuned.generation(),
                 deduped: true,
                 snapshot_fault: None,
             });
@@ -964,7 +980,7 @@ impl DurableLattice {
         }
         Ok(Applied {
             seq,
-            generation: self.tuned.lattice().generation(),
+            generation: self.tuned.generation(),
             deduped: false,
             snapshot_fault,
         })
@@ -1225,6 +1241,81 @@ mod tests {
         assert_eq!(report.snapshot_seq, 4);
         assert_ne!(recovered.state_bytes(), want);
         assert_eq!(recovered.last_seq(), 4);
+    }
+
+    #[test]
+    fn snapshots_keep_the_base_frame_and_refuse_version_1() {
+        let _fp = tl_fault::failpoints::shared();
+        let dir = test_dir("v2");
+        let base = base_lattice();
+        let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();
+        let updates = storm(&base, 5);
+        for (twig, count) in &updates {
+            durable.apply(twig, *count, 0, &NOOP).unwrap();
+        }
+        durable.snapshot(&NOOP).unwrap();
+        drop(durable);
+
+        // The base frame comes back as loaded; the counts ride in the rows.
+        let (recovered, report) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();
+        assert_eq!(report.snapshot_seq, 5);
+        assert_eq!(recovered.lattice().to_bytes(), base.to_bytes());
+        let (twig, count) = &updates[4];
+        assert_eq!(recovered.tuned().stored(&key_of(twig)), Some(*count));
+        drop(recovered);
+
+        // The same snapshot stamped version 1 (counts in the frame, none in
+        // the rows) is refused typed, never read with the wrong layout.
+        let newest = &list_snapshots(&dir).unwrap()[0].1;
+        let mut bytes = std::fs::read(newest).unwrap();
+        bytes[4] = 1;
+        std::fs::write(newest, &bytes).unwrap();
+        let err = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap_err();
+        assert_eq!(err.kind, FaultKind::CorruptSummary, "{err}");
+        assert!(
+            err.to_string().contains("unsupported snapshot version"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn snapshot_rows_out_of_order_or_undecodable_are_refused() {
+        let _fp = tl_fault::failpoints::shared();
+        let base = base_lattice();
+        let row = OnlineRow {
+            count: 3,
+            heat: 1,
+            touched: 1,
+        };
+        let key = |q: &str| key_of(&base.parse_query(q).unwrap());
+        let (small, large) = {
+            let (a, b) = (key("a[b][d]"), key("r/a/b/c"));
+            if a < b {
+                (a, b)
+            } else {
+                (b, a)
+            }
+        };
+        for (rows, fault) in [
+            (vec![(large, row), (small, row)], "out of key order"),
+            (
+                vec![(TwigKey::from_raw(Box::default()), row)],
+                "does not decode",
+            ),
+        ] {
+            let dir = test_dir("rows");
+            let state = SnapshotState {
+                last_seq: 1,
+                clock: 1,
+                online: rows,
+                idem: Vec::new(),
+                lattice_bytes: base.to_bytes(),
+            };
+            std::fs::write(dir.join(snapshot_file_name(1)), encode_snapshot(&state)).unwrap();
+            let err = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap_err();
+            assert_eq!(err.kind, FaultKind::CorruptSummary, "{err}");
+            assert!(err.to_string().contains(fault), "{err}");
+        }
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! per-level hash tables (the paper found hash tables beat prefix trees for
 //! this workload, §4.2). Mining ([`crate::mine()`]), corpus folding
 //! ([`crate::mine_corpus`]) and incremental updates ([`crate::update_mined`])
-//! produce it; the `treelattice` crate estimates from it, prunes it, and
-//! updates it in place from query feedback. Levels 1 and 2 are always
-//! complete; higher levels may be *pruned* (δ-derivable patterns removed,
-//! §4.3), which changes the meaning of a lookup miss:
+//! produce it; the `treelattice` crate estimates from it, merges, prunes
+//! and incrementally updates it in place, and keeps query feedback in an
+//! overlay beside it. Only δ-pruning removes patterns, and never from
+//! levels 1 and 2, so those are always complete; higher levels may be
+//! *pruned* (δ-derivable patterns removed, §4.3), which changes the
+//! meaning of a lookup miss:
 //!
 //! * miss on a **complete** level ⇒ the pattern does not occur ⇒ count 0;
 //! * miss on a **pruned** level ⇒ unknown — the estimator re-derives the
@@ -229,21 +231,9 @@ impl Summary {
             .sum()
     }
 
-    /// Removes `key` from its level and marks the level pruned (a removed
-    /// pattern is no longer distinguishable from a never-stored one, so the
-    /// level loses its completeness guarantee). Returns the removed count.
-    pub fn remove(&mut self, key: &TwigKey) -> Option<u64> {
-        let size = key.node_count();
-        let level = self.levels.get_mut(size.wrapping_sub(1))?;
-        let removed = level.remove(key);
-        if removed.is_some() {
-            self.pruned[size - 1] = true;
-        }
-        removed
-    }
-
     /// Inserts (or replaces) a pattern count; used when extending a pruned
-    /// summary with selected higher-level patterns (Figure 10(b)).
+    /// summary with selected higher-level patterns (Figure 10(b)), and to
+    /// write online feedback out as one frame.
     pub fn insert(&mut self, key: TwigKey, count: u64) {
         let size = key.node_count();
         assert!(size >= 1, "empty key");
@@ -253,13 +243,6 @@ impl Summary {
             self.pruned.push(true);
         }
         self.levels[size - 1].insert(key, count);
-    }
-
-    /// Marks a level as pruned/incomplete explicitly.
-    pub fn mark_pruned(&mut self, size: usize) {
-        if size >= 1 && size <= self.pruned.len() {
-            self.pruned[size - 1] = true;
-        }
     }
 
     /// Per-level `(stored, pruned)` listing for reports.
@@ -279,7 +262,12 @@ mod tests {
     use super::*;
 
     fn summary_of(patterns: &[(&str, u64)]) -> (Summary, LabelInterner) {
-        // Builds *complete* levels sized to the largest pattern.
+        summary_with(patterns, &[])
+    }
+
+    /// Levels sized to the largest pattern, complete except for the sizes
+    /// listed in `pruned`.
+    fn summary_with(patterns: &[(&str, u64)], pruned: &[usize]) -> (Summary, LabelInterner) {
         let mut it = LabelInterner::new();
         let parsed: Vec<(tl_twig::Twig, u64)> = patterns
             .iter()
@@ -290,7 +278,7 @@ mod tests {
         for (t, c) in parsed {
             levels[t.len() - 1].insert(key_of(&t), c);
         }
-        let s = Summary::from_parts(levels, vec![false; k]);
+        let s = Summary::from_parts(levels, (1..=k).map(|size| pruned.contains(&size)).collect());
         (s, it)
     }
 
@@ -341,11 +329,11 @@ mod tests {
 
     #[test]
     fn pruned_level_miss_is_derivable() {
-        let (mut s, mut it) = summary_of(&[("a", 5), ("a/b", 3), ("a/b/c", 2)]);
+        let (s, mut it) = summary_with(&[("a", 5), ("a/b", 3), ("a/b/c", 2)], &[3]);
         let abc = key_of(&tl_twig::parse_twig("a/b/c", &mut it).unwrap());
-        assert_eq!(s.lookup(&abc), Lookup::Exact(2));
-        s.remove(&abc);
-        assert_eq!(s.lookup(&abc), Lookup::Derivable);
+        assert_eq!(s.lookup(&abc), Lookup::Exact(2), "a kept count is exact");
+        let abd = key_of(&tl_twig::parse_twig("a/b/d", &mut it).unwrap());
+        assert_eq!(s.lookup(&abd), Lookup::Derivable);
         assert!(s.is_pruned(3));
         assert!(!s.is_pruned(2));
     }
@@ -463,9 +451,9 @@ mod tests {
     #[test]
     fn merge_ors_pruned_flags() {
         let (mut a, mut it) = summary_of(&[("a", 1), ("a/b", 1), ("a/b/c", 4)]);
-        let (mut b, _) = summary_of(&[("a", 1), ("a/b", 1), ("a/b/c", 4)]);
+        // Level 3 pruned in b, and a/b/c dropped from it.
+        let (b, _) = summary_with(&[("a", 1), ("a/b", 1), ("a/b/b", 2)], &[3]);
         let abc = key_of(&tl_twig::parse_twig("a/b/c", &mut it).unwrap());
-        b.remove(&abc); // marks level 3 pruned in b
         a.merge(&b);
         assert!(a.is_pruned(3), "pruned-ness is sticky under merge");
         assert_eq!(a.lookup(&abc), Lookup::Exact(4), "kept count survives");
@@ -481,11 +469,9 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_shrink_on_remove() {
-        let (mut s, mut it) = summary_of(&[("a", 1), ("a/b", 1), ("a/b/c", 1)]);
-        let before = s.heap_bytes();
-        let abc = key_of(&tl_twig::parse_twig("a/b/c", &mut it).unwrap());
-        s.remove(&abc);
-        assert!(s.heap_bytes() < before);
+    fn heap_bytes_grow_with_stored_keys() {
+        let (small, _) = summary_of(&[("a", 1), ("a/b", 1), ("a/b/c", 1)]);
+        let (large, _) = summary_of(&[("a", 1), ("a/b", 1), ("a/b/c", 1), ("a/b/d", 1)]);
+        assert!(small.heap_bytes() < large.heap_bytes());
     }
 }

@@ -13,14 +13,17 @@
 //! | [`exactness_below_k`] | §3.1: estimates are exact whenever `|Q| ≤ k` |
 //! | [`voting_cap_one_is_plain`] | §3.2: voting with one vote *is* the plain recursive scheme |
 //! | [`engine_matches_uncached`] | engine contract: the shared cache never changes a bit |
-//! | [`exact_feedback_is_a_noop`] | §5.1/§6: feedback the summary already answers exactly leaves it as mined |
+//! | [`exact_feedback_is_a_noop`] | §5.1/§6: feedback the summary already answers exactly stores nothing |
+//! | [`evicted_feedback_leaves_no_trace`] | §5.1/Lemma 3/§6: evicted feedback leaves the mined lattice, its order and every estimate as built |
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tl_twig::ops::{connected_node_sets, fixed_cover_sets, CoverStrategy};
 use tl_twig::Twig;
 use tl_xml::Document;
 use treelattice::{
-    BuildConfig, EngineConfig, EstimateOptions, EstimationEngine, Estimator, TreeLattice,
-    TunedLattice,
+    BuildConfig, EngineConfig, EstimateOptions, EstimationEngine, Estimator, PatternStore,
+    TreeLattice, TunedLattice,
 };
 
 use crate::corpus::{describe_case, product_document};
@@ -248,9 +251,9 @@ pub fn engine_matches_uncached(lattice: &TreeLattice, twigs: &[Twig]) -> Result<
 
 /// §5.1 and §6: complete levels answer every pattern of size `<= k`
 /// exactly, occurring or not, so feeding back such a pattern's true count
-/// must leave the summary as mined. Run under an online budget of 0
-/// bytes, where anything stored is evicted at once and its eviction marks
-/// the level pruned.
+/// must store nothing: the overlay stays empty, and base ⊕ overlay
+/// serializes as mined. Run with room for every observation, so that a
+/// row stored by mistake stays to be seen.
 pub fn exact_feedback_is_a_noop(
     doc: &Document,
     lattice: &TreeLattice,
@@ -258,15 +261,75 @@ pub fn exact_feedback_is_a_noop(
 ) -> Result<(), String> {
     let oracle = Oracle::new(doc);
     let fresh = lattice.to_bytes();
-    let mut tuned = TunedLattice::new(lattice.clone(), 0);
+    let mut tuned = TunedLattice::new(lattice.clone(), usize::MAX);
     for twig in twigs.iter().filter(|t| t.len() <= lattice.k()) {
         let truth = oracle.count(twig);
         tuned.observe(twig, truth);
-        if tuned.lattice().to_bytes() != fresh {
+        if tuned.online_bytes() != 0 || tuned.compacted().to_bytes() != fresh {
             return Err(format!(
-                "observing the true count {truth} changed the mined summary\n{}",
+                "observing the true count {truth} stored a row over the mined summary\n{}",
                 describe_case(doc, twig)
             ));
+        }
+    }
+    Ok(())
+}
+
+/// §5.1, Lemma 3 and §6: online feedback is a cache over the mined
+/// lattice, so an evicted observation must leave no trace. Seeded
+/// observations of the `twigs`, of any size, run under an online budget
+/// of 0 bytes, where every stored row is evicted at once. Their counts
+/// are the document's, a contradiction of it, or arbitrary. After each
+/// one, the base frame must equal `lattice`'s, the store's order must stay
+/// `k` (complete levels keep their exact zeros, fix-sized windows their
+/// width), and all four estimators through the tuner must return
+/// `lattice`'s bits on every twig.
+pub fn evicted_feedback_leaves_no_trace(
+    doc: &Document,
+    lattice: &TreeLattice,
+    twigs: &[Twig],
+    seed: u64,
+) -> Result<(), String> {
+    let oracle = Oracle::new(doc);
+    let fresh = lattice.to_bytes();
+    let want: Vec<[u64; 4]> = twigs
+        .iter()
+        .map(|t| Estimator::ALL.map(|e| lattice.estimate(t, e).to_bits()))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tuned = TunedLattice::new(lattice.clone(), 0);
+    for _ in 0..2 * twigs.len() {
+        let twig = &twigs[rng.gen_range(0..twigs.len())];
+        let truth = oracle.count(twig);
+        let count = match rng.gen_range(0..3) {
+            0 => truth,
+            1 => truth + rng.gen_range(1..10u64),
+            _ => rng.gen_range(0..1_000u64),
+        };
+        tuned.observe(twig, count);
+        let observed = || format!("after observing {count}\n{}", describe_case(doc, twig));
+        if tuned.lattice().to_bytes() != fresh {
+            return Err(format!("the mined summary changed {}", observed()));
+        }
+        if tuned.max_size() != lattice.k() {
+            return Err(format!(
+                "the order moved from {} to {} {}",
+                lattice.k(),
+                tuned.max_size(),
+                observed()
+            ));
+        }
+        for (probe, want) in twigs.iter().zip(&want) {
+            for (est, &bits) in Estimator::ALL.iter().zip(want) {
+                let got = tuned.estimate(probe, *est);
+                if got.to_bits() != bits {
+                    return Err(format!(
+                        "{est} of {probe:?} moved from {} to {got} {}",
+                        f64::from_bits(bits),
+                        observed()
+                    ));
+                }
+            }
         }
     }
     Ok(())

@@ -186,7 +186,7 @@ impl Backend {
     /// the store-identity contract.
     fn markov(&self, twig: &Twig) -> f64 {
         match self {
-            Backend::Memory { store } => markov_estimate(store.read().tuned().lattice(), twig),
+            Backend::Memory { store } => markov_estimate(store.read().tuned(), twig),
             Backend::Mmap { catalog } => markov_estimate(catalog, twig),
         }
     }
@@ -203,8 +203,8 @@ impl Backend {
         }
     }
 
-    /// One estimate through `engine`, on the lattice under the store read
-    /// lock or on the mapped frame. A contained panic is a typed fault.
+    /// One estimate through `engine`, on base ⊕ overlay under the store
+    /// read lock or on the mapped frame. A contained panic is a typed fault.
     fn estimate(
         &self,
         engine: &EstimationEngine,
@@ -214,7 +214,7 @@ impl Backend {
     ) -> Response {
         let result = match self {
             Backend::Memory { store } => {
-                engine.estimate_resilient(store.read().tuned().lattice(), twig, estimator, opts)
+                engine.estimate_resilient(store.read().tuned(), twig, estimator, opts)
             }
             Backend::Mmap { catalog } => engine.estimate_resilient(catalog, twig, estimator, opts),
         };
@@ -234,12 +234,9 @@ impl Backend {
         opts: &EstimateOptions,
     ) -> Response {
         let results = match self {
-            Backend::Memory { store } => engine.estimate_batch_resilient(
-                store.read().tuned().lattice(),
-                twigs,
-                estimator,
-                opts,
-            ),
+            Backend::Memory { store } => {
+                engine.estimate_batch_resilient(store.read().tuned(), twigs, estimator, opts)
+            }
             Backend::Mmap { catalog } => {
                 engine.estimate_batch_resilient(catalog, twigs, estimator, opts)
             }
@@ -250,7 +247,7 @@ impl Backend {
     fn truth(&self, twig: &Twig) -> Response {
         let key = key_of(twig);
         let stored = match self {
-            Backend::Memory { store } => store.read().tuned().lattice().summary().stored(&key),
+            Backend::Memory { store } => store.read().tuned().stored(&key),
             Backend::Mmap { catalog } => match catalog.lookup_bytes(key.as_bytes()) {
                 Lookup::Exact(c) => Some(c),
                 Lookup::Derivable | Lookup::TooLarge => None,
@@ -267,7 +264,7 @@ impl Backend {
                     Store::Plain(tuned) => {
                         tuned.observe(twig, true_count);
                         Response::Updated {
-                            generation: tuned.lattice().generation(),
+                            generation: tuned.generation(),
                         }
                     }
                     // The WAL append gates the ack: an append failure is a

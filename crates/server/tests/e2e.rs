@@ -245,6 +245,75 @@ fn truth_update_and_generation_bump() {
     handle.shutdown().expect("clean drain");
 }
 
+/// A memory-backend server over `path`, with `online_budget_bytes` and,
+/// when `durable`, a fresh WAL directory.
+fn memory_server(
+    path: &std::path::Path,
+    online_budget_bytes: usize,
+    durable: bool,
+) -> ServerConfig {
+    let mut config = ServerConfig::new(path);
+    config.online_budget_bytes = online_budget_bytes;
+    if durable {
+        let wal = path.with_extension(format!("wal-{online_budget_bytes}"));
+        std::fs::remove_dir_all(&wal).ok();
+        config.wal_dir = Some(wal);
+    }
+    config
+}
+
+#[test]
+fn served_estimates_answer_an_observed_twig_past_k() {
+    let lattice = sample_lattice();
+    let path = write_summary(&lattice, "past-k.tlat");
+    let query = "a[b[c][d]][e]";
+    assert!(lattice.parse_query(query).unwrap().len() > lattice.k());
+    for durable in [false, true] {
+        let handle = serve(memory_server(&path, 1 << 20, durable)).unwrap();
+        let mut client = Client::connect(handle.addr(), "default").unwrap();
+        client.update(query, 99).unwrap();
+        assert_eq!(client.truth(query).unwrap(), Some(99));
+        for est in Estimator::ALL {
+            let served = client.estimate(est, query).unwrap();
+            assert_eq!(served.degradation, Degradation::None, "{est}");
+            assert_eq!(served.value, 99.0, "{est}, durable {durable}");
+        }
+        handle.shutdown().expect("clean drain");
+    }
+}
+
+#[test]
+fn an_evicted_correction_serves_the_mined_summary() {
+    let lattice = sample_lattice();
+    let path = write_summary(&lattice, "evicted.tlat");
+    let mined = Some(16);
+    assert_eq!(
+        lattice.summary().stored(&tl_twig::canonical::key_of(
+            &lattice.parse_query("a/b").unwrap()
+        )),
+        mined
+    );
+    for durable in [false, true] {
+        let handle = serve(memory_server(&path, 0, durable)).unwrap();
+        let mut client = Client::connect(handle.addr(), "default").unwrap();
+        // A correction of a mined count, evicted at once by the 0-byte layer.
+        client.update("a/b", 5).unwrap();
+        assert_eq!(client.truth("a/b").unwrap(), mined, "durable {durable}");
+        for &query in QUERIES {
+            let twig = lattice.parse_query(query).unwrap();
+            for est in Estimator::ALL {
+                let served = client.estimate(est, query).unwrap();
+                assert_eq!(
+                    served.value.to_bits(),
+                    lattice.estimate(&twig, est).to_bits(),
+                    "{est} {query}, durable {durable}"
+                );
+            }
+        }
+        handle.shutdown().expect("clean drain");
+    }
+}
+
 #[test]
 fn bad_query_is_usage_not_fault() {
     let lattice = sample_lattice();

@@ -95,3 +95,29 @@ fn exact_feedback_leaves_the_mined_summary_as_built() {
         }
     }
 }
+
+#[test]
+fn evicted_feedback_leaves_no_trace() {
+    for &seed in &seeds_from_env("TL_ORACLE_SEED", DEFAULT_SEEDS) {
+        // Sizes 1 to k + 3, a third of them perturbed so that many never
+        // occur.
+        let corpus = generate(&CorpusConfig {
+            seed: seed.wrapping_add(0xe71c),
+            docs: 2,
+            twigs_per_doc: 24,
+            twig_sizes: (1, 6),
+            ..CorpusConfig::default()
+        });
+        for (i, doc) in corpus.docs.iter().enumerate() {
+            let twigs: Vec<_> = corpus
+                .cases
+                .iter()
+                .filter(|c| c.doc == i)
+                .map(|c| c.twig.clone())
+                .collect();
+            let lattice = TreeLattice::build(doc, &BuildConfig::with_k(3));
+            laws::evicted_feedback_leaves_no_trace(doc, &lattice, &twigs, seed)
+                .unwrap_or_else(|e| panic!("seed {seed} doc {i}: {e}"));
+        }
+    }
+}

@@ -10,14 +10,17 @@
 //! - An `observe` that inserts a fresh pattern, and one that forces an
 //!   eviction, allocate the same on two summaries whose pattern counts
 //!   differ several-fold.
+//! - An evicting `observe` allocates the same on a full online layer of
+//!   1,000 patterns as on one of 10,000: eviction picks its victim from an
+//!   ordered index, not from a sorted copy of every online key.
 //! - `TreeLattice::build_with_index` allocates a constant number more than
 //!   mining the same index alone.
 //! - Opening a fresh WAL directory moves the base summary into the durable
 //!   state: it allocates the same on both summaries.
 //! - A seeded storm of observations, under an online budget small enough
-//!   to evict, ends in a frame, a footprint and an online state pinned to
-//!   committed values: updating the live table stores exactly what
-//!   replacing it with an updated copy stored.
+//!   to evict, leaves the mined summary byte-identical to a fresh build of
+//!   the same input, and ends in an online state pinned to committed
+//!   values.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,6 +28,7 @@ use std::cell::Cell;
 use tl_datagen::{Dataset, GenConfig};
 use tl_fault::fnv1a;
 use tl_miner::{mine_with_index_budgeted, MineConfig};
+use tl_twig::canonical::key_of;
 use tl_twig::Twig;
 use tl_xml::{DocIndex, Document, LabelId};
 use treelattice::{Budget, BuildConfig, DurableLattice, DurableOptions, TreeLattice, TunedLattice};
@@ -117,9 +121,9 @@ fn observe_allocations_do_not_grow_with_the_summary() {
         let lattice = build(&doc, &index, K);
         patterns.push(lattice.summary().len());
         // Room for two fresh patterns: the third overflows and evicts one.
-        let key_bytes = tl_twig::canonical::key_of(&fresh(K, 1)).heap_bytes();
+        let key_bytes = key_of(&fresh(K, 1)).heap_bytes();
         let mut tuned = TunedLattice::new(lattice, 2 * key_bytes);
-        // The first insert opens the new level and the online tables.
+        // The first insert opens the online tables.
         tuned.observe(&fresh(K, 1), 7);
         let ((), insert) = measured(|| tuned.observe(&fresh(K, 2), 7));
         assert_eq!(tuned.stats().evicted, 0);
@@ -134,6 +138,46 @@ fn observe_allocations_do_not_grow_with_the_summary() {
     assert_eq!(
         counts[0], counts[1],
         "(insert, evict) allocations on {patterns:?} patterns"
+    );
+}
+
+/// The `i`-th of a family of distinct paths of `k + 1` nodes: `i` written
+/// in base `labels`, one digit per node.
+fn distinct(k: usize, labels: usize, mut i: usize) -> Twig {
+    let path: Vec<LabelId> = (0..=k)
+        .map(|_| {
+            let digit = i % labels;
+            i /= labels;
+            LabelId(digit as u32)
+        })
+        .collect();
+    assert_eq!(i, 0, "{labels} labels cannot spell the path");
+    Twig::path(&path)
+}
+
+#[test]
+fn an_evicting_observe_allocates_the_same_on_small_and_large_online_layers() {
+    let (doc, index) = imdb(SMALL);
+    let lattice = build(&doc, &index, K);
+    let labels = lattice.labels().len();
+    let key_bytes = key_of(&distinct(K, labels, 0)).heap_bytes();
+    let mut counts = Vec::new();
+    for online in [1_000, 10_000] {
+        // A full layer: exactly `online` patterns fit.
+        let mut tuned = TunedLattice::new(lattice.clone(), online * key_bytes);
+        for i in 0..online {
+            tuned.observe(&distinct(K, labels, i), 7);
+        }
+        assert_eq!(tuned.online_bytes(), online * key_bytes);
+        assert_eq!(tuned.stats().evicted, 0);
+        let next = distinct(K, labels, online);
+        let ((), evict) = measured(|| tuned.observe(&next, 7));
+        assert_eq!(tuned.stats().evicted, 1, "one more pattern evicts one");
+        counts.push(evict);
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "allocations of an evicting observe on 1,000 and 10,000 online patterns"
     );
 }
 
@@ -218,16 +262,17 @@ impl SplitMix {
 }
 
 /// The online state in the layout a snapshot stores it: the clock, then
-/// each `(key, heat, last-touch)` row in key order.
+/// each `(key, count, heat, last-touch)` row in key order.
 fn online_state_bytes(tuned: &TunedLattice) -> Vec<u8> {
     let (clock, rows) = tuned.online_state();
     let mut out = clock.to_le_bytes().to_vec();
     out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for (key, heat, touched) in rows {
+    for (key, row) in rows {
         out.extend_from_slice(&(key.as_bytes().len() as u32).to_le_bytes());
         out.extend_from_slice(key.as_bytes());
-        out.extend_from_slice(&heat.to_le_bytes());
-        out.extend_from_slice(&touched.to_le_bytes());
+        for field in [row.count, row.heat, row.touched] {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
     }
     out
 }
@@ -273,22 +318,20 @@ fn an_eviction_storm_stores_what_it_always_stored() {
         stats.evicted > 0 && stats.inserted < stats.observed,
         "{stats:?}"
     );
-    let lattice = tuned.lattice();
+    // Feedback never writes the mined summary: it is still what a fresh
+    // build of the same input stores.
+    let rebuilt = build(&doc, &index, 3);
+    assert_eq!(tuned.lattice().to_bytes(), rebuilt.to_bytes());
+    assert_eq!(tuned.lattice().summary_bytes(), rebuilt.summary_bytes());
     let pinned = (
         (stats.observed, stats.inserted, stats.evicted),
-        format!("{:016x}", fnv1a(&lattice.to_bytes())),
-        lattice.summary_bytes(),
         format!("{:016x}", fnv1a(&online_state_bytes(&tuned))),
     );
-    // Recorded from the build that still replaced the table on every
-    // update.
+    // An observation that repeats a mined count is a no-op while its
+    // pattern is not online; with the mined counts never evicted, 261 of
+    // the 2,400 are.
     assert_eq!(
         pinned,
-        (
-            (2_400, 2_385, 1_877),
-            "63d693bcc4458ebf".to_owned(),
-            40_493,
-            "1a8e8618171b150c".to_owned()
-        )
+        ((2_400, 2_139, 1_629), "1492608a97fe5136".to_owned())
     );
 }
